@@ -323,7 +323,7 @@ func BenchmarkOneHotVsDense(b *testing.B) {
 	b.Run("onehot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tensor.OneHotMatMulParallel(dst, idx, w, 0)
+			tensor.OneHotMatMulParallel(dst, idx, w, nil, 0)
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
@@ -355,7 +355,7 @@ func BenchmarkTraceUpdate(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				be.OneHotOuterLerp(cij, idx, act, 0.01)
+				be.OneHotOuterLerp(cij, idx, act, 0.01, nil)
 			}
 		})
 	}
@@ -394,19 +394,19 @@ func BenchmarkLayerStep(b *testing.B) {
 		cij.Data[i] = rng.Float64()*0.9 + 0.05
 		w.Data[i] = rng.NormFloat64()
 	}
-	geom := backend.LayerGeom{Fi: fi, Mi: mi, H: h, M: m}
 	hyper := backend.LayerHyper[float64]{
 		Taupdt: 0.01, Taubdt: 0.01, PMinFraction: 0.1,
 		Temperature: 1, Eps: 1e-9, Kbi: kbi,
+		Blocks: tensor.NewBlockIndex(nil, fi, mi, h, m),
 	}
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("fused/workers=%d", workers), func(b *testing.B) {
 			st := backend.MustNew("fused", workers).(backend.LayerStepper[float64])
-			st.LayerStep(idx, act, ci, cj, cij, w, bias, nil, geom, hyper) // warm scratch
+			st.LayerStep(idx, act, ci, cj, cij, w, bias, hyper) // warm scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.LayerStep(idx, act, ci, cj, cij, w, bias, nil, geom, hyper)
+				st.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
 			}
 		})
 		b.Run(fmt.Sprintf("composed/workers=%d", workers), func(b *testing.B) {
@@ -415,14 +415,14 @@ func BenchmarkLayerStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				be.OneHotMatMul(act, idx, w)
+				be.OneHotMatMul(act, idx, w, nil)
 				be.AddBias(act, bias)
 				be.SoftmaxGroups(act, h, m, 1)
 				be.OneHotMeanLerp(ci, idx, 0.01)
 				tensor.ColMeans(meanAct, act)
 				be.Lerp(cj, meanAct, 0.01)
-				be.OneHotOuterLerp(cij, idx, act, 0.01)
-				be.UpdateWeights(w, ci, cj, cij, nil, fi, mi, h, m, 1e-9)
+				be.OneHotOuterLerp(cij, idx, act, 0.01, nil)
+				be.UpdateWeights(w, ci, cj, cij, nil, 1e-9)
 				be.UpdateBias(bias, kbi, cj, 1e-9)
 			}
 		})

@@ -7,16 +7,25 @@
 // swapping the execution strategy is a one-line change exactly as in the
 // Python original.
 //
-// Three backends are provided:
+// Five backends are provided:
 //
 //   - "naive":    single-threaded reference kernels (the NumPy role).
 //   - "parallel": goroutine worker-team kernels with cache blocking
 //     (the OpenMP+SIMD role).
+//   - "fused":    the parallel kernels plus a whole-layer LayerStep that
+//     runs one training step in three cache-blocked passes
+//     (DESIGN.md §14).
 //   - "gpusim":   a GPU-offload simulator layered on the parallel kernels
 //     that models device-resident buffers and counts kernel
 //     launches and host/device transfer bytes under both the
 //     fully-offloaded and the chatty transfer policy
 //     (the CUDA role; see DESIGN.md §1 for the substitution).
+//   - "fpgasim":  a streaming-pipeline cost model with posit-quantized
+//     parameters (the HLS FPGA role; float64 only).
+//
+// The receptive field reaches every kernel in one form: a *tensor.BlockIndex,
+// where nil means every block (DESIGN.md §15). There is one kernel per
+// operation, not a dense and a sparse twin.
 //
 // Every kernel set is generic over the element precision (DESIGN.md §9):
 // Backend is the float64 instantiation the trainer uses for traces and
@@ -52,7 +61,9 @@ type Kernels[T tensor.Float] interface {
 	MatMulATB(dst, a, b *tensor.Dense[T])
 	// OneHotMatMul computes dst = X·w where sample s of X is the indicator
 	// vector of idx[s] (the quantile one-hot encoding of §V of the paper).
-	OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T])
+	// bi, when non-nil, restricts the gather to its active blocks; silent W
+	// blocks hold exact zeros, so every index gives the same bits.
+	OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T], bi *tensor.BlockIndex)
 	// AddBias adds the bias vector to every row of m.
 	AddBias(m *tensor.Dense[T], bias []T)
 	// SoftmaxGroups applies a temperature softmax independently to each of
@@ -69,46 +80,27 @@ type Kernels[T tensor.Float] interface {
 	OneHotMeanLerp(ci []T, idx [][]int32, t float64)
 	// OneHotOuterLerp folds the batch outer-product mean into the joint
 	// trace: cij = (1-t)·cij + (t/len(idx))·Σ_s indicator(idx[s]) ⊗ act[s].
-	OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64)
+	// nil bi decays and accumulates every block, a whole row at a time (the
+	// dense regime); non-nil bi touches only its active blocks, one M-wide
+	// segment at a time, and leaves silent blocks frozen (the sparse regime,
+	// DESIGN.md §15). The segmentation is part of the result: it fixes which
+	// lanes the FMA microkernel covers.
+	OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64,
+		bi *tensor.BlockIndex)
 	// OuterLerp is the dense variant used by the supervised layer:
 	// cij = (1-t)·cij + (t/a.Rows)·aᵀb.
 	OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t float64)
 
 	// UpdateWeights recomputes the BCPNN weight matrix from the traces:
 	// w_ij = log(max(cij,eps²) / (max(ci_i,eps)·max(cj_j,eps))).
-	// If mask is non-nil it is an fi×h row-major boolean gate over
-	// (input hypercolumn, output hypercolumn) blocks of w (block shape
-	// mi×m); gated-off entries are set to 0 (silent connections).
+	// bi, when non-nil, restricts the refresh to its active blocks and
+	// leaves silent blocks untouched — callers keep them at exact zeros
+	// (tensor.ZeroSilent) whenever the index is rebuilt. The formula is
+	// element-wise, so the active blocks get the same bits at every index.
 	UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-		mask []bool, fi, mi, h, m int, eps float64)
+		bi *tensor.BlockIndex, eps float64)
 	// UpdateBias recomputes bias_j = kbi_j · log(max(cj_j, eps)).
 	UpdateBias(bias, kbi, cj []T, eps float64)
-
-	// Block-sparse kernel set (DESIGN.md §15). These are the receptive-field-
-	// mask-aware counterparts of the hot dense kernels: a tensor.BlockIndex
-	// (the compressed form of the mask, rebuilt only on structural swaps)
-	// restricts every touch to the active (input HCU × hidden HCU) blocks, so
-	// at structural sparsity s they pay ~(1−s) of the dense work. They
-	// implement the sparse-compute training regime, in which silent-block
-	// joint traces are FROZEN rather than decayed (the dense path's silent
-	// statistics are deliberately not maintained; see DESIGN.md §15 for the
-	// substitution).
-
-	// OneHotMatMulSparse is OneHotMatMul gathering only active-block weight
-	// segments. Because silent W blocks hold exact zeros, it is bit-identical
-	// to the dense gather at every precision.
-	OneHotMatMulSparse(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
-		bi *tensor.BlockIndex)
-	// OneHotOuterLerpSparse is OneHotOuterLerp decaying and accumulating only
-	// the active blocks of cij; silent blocks keep their bits (frozen traces).
-	OneHotOuterLerpSparse(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T],
-		t float64, bi *tensor.BlockIndex)
-	// UpdateWeightsSparse recomputes only the active blocks of w from the
-	// traces. Silent blocks are left untouched — callers maintain the
-	// invariant that they hold zeros by running a full masked UpdateWeights
-	// whenever the mask changes.
-	UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-		bi *tensor.BlockIndex, eps float64)
 }
 
 // Backend is the float64 kernel set — the precision of every training trace.

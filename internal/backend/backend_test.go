@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,19 +109,67 @@ func TestConformanceMatMulATB(t *testing.T) {
 	}
 }
 
+// blockIndexes returns the receptive-field inputs of the block-indexed kernel
+// tables: nil (every block), the full index and a partial one. The tables
+// use H > 1 with M = 37, no multiple of any SIMD width, so block segments
+// end on scalar tails.
+func blockIndexes(fi, mi, h, m int) []*tensor.BlockIndex {
+	mask := make([]bool, fi*h)
+	for i := range mask {
+		mask[i] = i%3 != 1
+	}
+	return []*tensor.BlockIndex{nil, tensor.NewBlockIndex(nil, fi, mi, h, m),
+		tensor.NewBlockIndex(mask, fi, mi, h, m)}
+}
+
+// sameBits fails unless got and want hold identical bits (signed zeros
+// included).
+func sameBits[T tensor.Float](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	for i, v := range want {
+		g := got[i]
+		if float64(g) != float64(v) || math.Signbit(float64(g)) != math.Signbit(float64(v)) {
+			t.Fatalf("%s: element %d is %v, want %v", what, i, g, v)
+		}
+	}
+}
+
+// gatherIndexes checks that be's gather gives the same bits through every
+// index of bis; w's silent blocks must be zero.
+func gatherIndexes[T tensor.Float](t *testing.T, name string, be Kernels[T], idx [][]int32,
+	w *tensor.Dense[T], bis []*tensor.BlockIndex) {
+	t.Helper()
+	want := tensor.NewDense[T](len(idx), w.Cols)
+	be.OneHotMatMul(want, idx, w, nil)
+	for _, bi := range bis[1:] {
+		got := tensor.NewDense[T](len(idx), w.Cols)
+		be.OneHotMatMul(got, idx, w, bi)
+		sameBits(t, fmt.Sprintf("%s gather over %d blocks", name, bi.ActiveBlocks()), got.Data, want.Data)
+	}
+}
+
 func TestConformanceOneHotMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const batch, groups, width, out = 21, 9, 10, 40
-	w := randMat(rng, groups*width, out)
+	const batch, groups, width, h, m = 21, 9, 10, 3, 37
+	bis := blockIndexes(groups, width, h, m)
+	w := randMat(rng, groups*width, h*m)
+	tensor.ZeroSilent(w, bis[2]) // silent blocks are exact zeros in a live layer
 	idx := randIdx(rng, batch, groups, width)
-	want := tensor.NewMatrix(batch, out)
-	MustNew("naive", 0).OneHotMatMul(want, idx, w)
+	want := tensor.NewMatrix(batch, h*m)
+	MustNew("naive", 0).OneHotMatMul(want, idx, w, nil)
 	for _, be := range allBackends() {
-		got := tensor.NewMatrix(batch, out)
-		be.OneHotMatMul(got, idx, w)
+		got := tensor.NewMatrix(batch, h*m)
+		be.OneHotMatMul(got, idx, w, nil)
 		if d := got.MaxAbsDiff(want); d > tol {
 			t.Errorf("%s OneHotMatMul diff %g", be.Name(), d)
 		}
+	}
+	w32 := tensor.Cast[float32](w)
+	for _, name := range Names() {
+		gatherIndexes(t, name+"/f64", MustNew(name, 3), idx, w, bis)
+	}
+	for _, name := range Names32() {
+		gatherIndexes(t, name+"/f32", MustNew32(name, 3), idx, w32, bis)
 	}
 }
 
@@ -160,12 +209,12 @@ func TestConformanceTraceKernels(t *testing.T) {
 	wantCi := append([]float64(nil), ciRef...)
 	wantCij := cijRef.Clone()
 	nv.OneHotMeanLerp(wantCi, idx, 0.03)
-	nv.OneHotOuterLerp(wantCij, idx, act, 0.03)
+	nv.OneHotOuterLerp(wantCij, idx, act, 0.03, nil)
 	for _, be := range allBackends() {
 		gotCi := append([]float64(nil), ciRef...)
 		gotCij := cijRef.Clone()
 		be.OneHotMeanLerp(gotCi, idx, 0.03)
-		be.OneHotOuterLerp(gotCij, idx, act, 0.03)
+		be.OneHotOuterLerp(gotCij, idx, act, 0.03, nil)
 		for i := range gotCi {
 			if math.Abs(gotCi[i]-wantCi[i]) > tol {
 				t.Fatalf("%s Ci diff at %d", be.Name(), i)
@@ -193,9 +242,25 @@ func TestConformanceOuterLerp(t *testing.T) {
 	}
 }
 
+// refreshIndexes checks that be's weight refresh gives the same bits on the
+// blocks every index of bis covers and leaves the others at zero.
+func refreshIndexes[T tensor.Float](t *testing.T, name string, be Kernels[T], ci, cj []T,
+	cij *tensor.Dense[T], bis []*tensor.BlockIndex) {
+	t.Helper()
+	all := tensor.NewDense[T](cij.Rows, cij.Cols)
+	be.UpdateWeights(all, ci, cj, cij, nil, 1e-9)
+	for _, bi := range bis[1:] {
+		got := tensor.NewDense[T](cij.Rows, cij.Cols)
+		be.UpdateWeights(got, ci, cj, cij, bi, 1e-9)
+		want := all.Clone()
+		tensor.ZeroSilent(want, bi)
+		sameBits(t, fmt.Sprintf("%s refresh over %d blocks", name, bi.ActiveBlocks()), got.Data, want.Data)
+	}
+}
+
 func TestConformanceUpdateWeightsBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const fi, mi, h, m = 5, 4, 3, 6
+	const fi, mi, h, m = 5, 4, 3, 37
 	in, units := fi*mi, h*m
 	ci := make([]float64, in)
 	cj := make([]float64, units)
@@ -208,19 +273,16 @@ func TestConformanceUpdateWeightsBias(t *testing.T) {
 		kbi[j] = 1 + rng.Float64()
 	}
 	cij := randProbMat(rng, in, units)
-	mask := make([]bool, fi*h)
-	for i := range mask {
-		mask[i] = rng.Intn(2) == 0
-	}
+	bis := blockIndexes(fi, mi, h, m)
 	wantW := tensor.NewMatrix(in, units)
 	wantB := make([]float64, units)
 	nv := MustNew("naive", 0)
-	nv.UpdateWeights(wantW, ci, cj, cij, mask, fi, mi, h, m, 1e-9)
+	nv.UpdateWeights(wantW, ci, cj, cij, bis[2], 1e-9)
 	nv.UpdateBias(wantB, kbi, cj, 1e-9)
 	for _, be := range allBackends() {
 		gotW := tensor.NewMatrix(in, units)
 		gotB := make([]float64, units)
-		be.UpdateWeights(gotW, ci, cj, cij, mask, fi, mi, h, m, 1e-9)
+		be.UpdateWeights(gotW, ci, cj, cij, bis[2], 1e-9)
 		be.UpdateBias(gotB, kbi, cj, 1e-9)
 		if d := gotW.MaxAbsDiff(wantW); d > tol {
 			t.Errorf("%s UpdateWeights diff %g", be.Name(), d)
@@ -231,8 +293,22 @@ func TestConformanceUpdateWeightsBias(t *testing.T) {
 			}
 		}
 	}
+	ci32, cj32 := make([]float32, in), make([]float32, units)
+	tensor.CastSlice(ci32, ci)
+	tensor.CastSlice(cj32, cj)
+	cij32 := tensor.Cast[float32](cij)
+	for _, name := range Names() {
+		refreshIndexes(t, name+"/f64", MustNew(name, 3), ci, cj, cij, bis)
+	}
+	for _, name := range Names32() {
+		refreshIndexes(t, name+"/f32", MustNew32(name, 3), ci32, cj32, cij32, bis)
+	}
 }
 
+// TestUpdateWeightsMaskZeroesSilentBlocks: a refresh through the mask's
+// block index after ZeroSilent — what every mask change runs — leaves the
+// silent blocks at exact zeros whatever they held, and derives the active
+// ones.
 func TestUpdateWeightsMaskZeroesSilentBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const fi, mi, h, m = 3, 2, 2, 2
@@ -247,14 +323,16 @@ func TestUpdateWeightsMaskZeroesSilentBlocks(t *testing.T) {
 	}
 	cij := randProbMat(rng, in, units)
 	mask := []bool{true, false, false, true, true, true}
-	w := tensor.NewMatrix(in, units)
-	MustNew("naive", 0).UpdateWeights(w, ci, cj, cij, mask, fi, mi, h, m, 1e-9)
+	bi := tensor.NewBlockIndex(mask, fi, mi, h, m)
+	w := randMat(rng, in, units)
+	tensor.ZeroSilent(w, bi)
+	MustNew("naive", 0).UpdateWeights(w, ci, cj, cij, bi, 1e-9)
 	for i := 0; i < in; i++ {
 		for j := 0; j < units; j++ {
 			gated := mask[(i/mi)*h+j/m]
 			v := w.At(i, j)
-			if !gated && v != 0 {
-				t.Fatalf("silent weight (%d,%d) = %v, want 0", i, j, v)
+			if !gated && (v != 0 || math.Signbit(v)) {
+				t.Fatalf("silent weight (%d,%d) = %v, want +0", i, j, v)
 			}
 			if gated && v == 0 {
 				t.Fatalf("active weight (%d,%d) unexpectedly zero", i, j)
@@ -277,7 +355,7 @@ func TestUpdateWeightsIndependenceIsZero(t *testing.T) {
 		}
 	}
 	w := tensor.NewMatrix(in, units)
-	MustNew("naive", 0).UpdateWeights(w, ci, cj, cij, nil, 0, 0, 0, 0, 1e-9)
+	MustNew("naive", 0).UpdateWeights(w, ci, cj, cij, nil, 1e-9)
 	for _, v := range w.Data {
 		if math.Abs(v) > 1e-9 {
 			t.Fatalf("independence should give zero weight, got %v", v)
@@ -295,7 +373,7 @@ func TestGPUSimTransferAccounting(t *testing.T) {
 		t.Fatalf("pin upload bytes = %d", afterPin.BytesH2D)
 	}
 	idx := [][]int32{{0}, {1}, {2}, {3}}
-	g.OneHotMatMul(dst, idx, w)
+	g.OneHotMatMul(dst, idx, w, nil)
 	st := g.Stats()
 	// Offloaded: only the 4 indices move host→device; no D2H for resident dst.
 	wantH2D := afterPin.BytesH2D + 4*4
@@ -312,7 +390,7 @@ func TestGPUSimTransferAccounting(t *testing.T) {
 	// Chatty: the same call moves the whole weight matrix and result.
 	g.ResetStats()
 	g.SetPolicy(PolicyChatty)
-	g.OneHotMatMul(dst, idx, w)
+	g.OneHotMatMul(dst, idx, w, nil)
 	st = g.Stats()
 	if st.BytesH2D != int64(8*len(w.Data)+4*4) {
 		t.Fatalf("chatty H2D = %d", st.BytesH2D)

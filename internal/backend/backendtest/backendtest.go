@@ -4,10 +4,13 @@
 // through three paths:
 //
 //   - the dense-masked composed kernel sequence (the reference semantics:
-//     silent weight blocks zeroed by the mask, traces updated densely);
-//   - the block-sparse composed sequence of every kernel set under test;
-//   - the whole-layer LayerStep path with a block index, for kernel sets
-//     that implement backend.LayerStepper;
+//     every kernel at the nil index, silent weight blocks re-zeroed after
+//     each refresh, traces updated densely);
+//   - the block-sparse composed sequence of every kernel set under test,
+//     every kernel at the mask's block index;
+//   - the whole-layer LayerStep path with the block index as both the
+//     receptive field and the trace index, for kernel sets that implement
+//     backend.LayerStepper;
 //
 // and compares every observable (activations, traces, gains, weights,
 // biases) field by field after every step. Swap events re-seed the newly
@@ -145,8 +148,8 @@ type model[T tensor.Float] struct {
 }
 
 // newModel builds a model with the scripted initial state: traces seeded
-// from cfg.Seed (identically in every model), parameters derived by a full
-// masked refresh so the silent-zeros invariant holds from step zero.
+// from cfg.Seed (identically in every model), parameters derived by a
+// refresh so the silent-zeros invariant holds from step zero.
 func newModel[T tensor.Float](cfg Config, sc *script, be backend.Kernels[T],
 	st backend.LayerStepper[T]) *model[T] {
 	g := cfg.Geom
@@ -179,11 +182,11 @@ func newModel[T tensor.Float](cfg Config, sc *script, be backend.Kernels[T],
 	return m
 }
 
-// refresh is the full masked parameter re-derivation every mask change runs:
-// active weight blocks from the traces, silent blocks to exact zeros.
+// refresh is the parameter re-derivation every mask change runs: silent
+// blocks to exact zeros once, active weight blocks from the traces.
 func (m *model[T]) refresh() {
-	g := m.geom
-	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, m.mask, g.Fi, g.Mi, g.H, g.M, epsilon)
+	tensor.ZeroSilent(m.w, m.bi)
+	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, m.bi, epsilon)
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
 }
 
@@ -204,15 +207,16 @@ func (m *model[T]) homeostasis() {
 // denseStep is the dense-masked composed sequence — the reference semantics.
 func (m *model[T]) denseStep(idx [][]int32) {
 	g := m.geom
-	m.be.OneHotMatMul(m.act, idx, m.w)
+	m.be.OneHotMatMul(m.act, idx, m.w, nil)
 	m.be.AddBias(m.act, m.bias)
 	m.be.SoftmaxGroups(m.act, g.H, g.M, temper)
 	m.be.OneHotMeanLerp(m.ci, idx, taupdt)
 	tensor.ColMeans(m.mean, m.act)
 	m.be.Lerp(m.cj, m.mean, taupdt)
-	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt)
+	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt, nil)
 	m.homeostasis()
-	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, m.mask, g.Fi, g.Mi, g.H, g.M, epsilon)
+	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, nil, epsilon)
+	tensor.ZeroSilent(m.w, m.bi)
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
 }
 
@@ -222,30 +226,30 @@ func (m *model[T]) denseStep(idx [][]int32) {
 func (m *model[T]) sparseStep(idx [][]int32) {
 	g := m.geom
 	if m.st != nil {
-		m.st.LayerStep(idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.mask,
-			backend.LayerGeom{Fi: g.Fi, Mi: g.Mi, H: g.H, M: g.M},
+		m.st.LayerStep(idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias,
 			backend.LayerHyper[T]{
 				Taupdt: taupdt, Taubdt: taubdt, PMinFraction: pminFr,
-				Temperature: temper, Eps: epsilon, Kbi: m.kbi, Blocks: m.bi,
+				Temperature: temper, Eps: epsilon, Kbi: m.kbi,
+				Blocks: m.bi, Trace: m.bi,
 			})
 		return
 	}
-	m.be.OneHotMatMulSparse(m.act, idx, m.w, m.bi)
+	m.be.OneHotMatMul(m.act, idx, m.w, m.bi)
 	m.be.AddBias(m.act, m.bias)
 	m.be.SoftmaxGroups(m.act, g.H, g.M, temper)
 	m.be.OneHotMeanLerp(m.ci, idx, taupdt)
 	tensor.ColMeans(m.mean, m.act)
 	m.be.Lerp(m.cj, m.mean, taupdt)
-	m.be.OneHotOuterLerpSparse(m.cij, idx, m.act, taupdt, m.bi)
+	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt, m.bi)
 	m.homeostasis()
-	m.be.UpdateWeightsSparse(m.w, m.ci, m.cj, m.cij, m.bi, epsilon)
+	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, m.bi, epsilon)
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
 }
 
 // applySwap mutates the mask per the scripted events, re-seeds each newly
 // activated joint-trace block to Ci·Cj (the frozen-silent regrow contract),
-// rebuilds the block index and runs the full masked refresh — exactly what
-// core does on every mask change, in both regimes.
+// rebuilds the block index and refreshes — exactly what core does on every
+// mask change, in both regimes.
 func (m *model[T]) applySwap(evs []swapEvent) {
 	g := m.geom
 	for _, ev := range evs {
@@ -276,42 +280,24 @@ func maxDiff[T tensor.Float](a, b []T) float64 {
 // maxActiveDiff returns the largest |a−b| over the active blocks of a pair
 // of block-tiled matrices (the silent blocks of the dense reference keep
 // evolving while the sparse regime freezes them — by design, not a defect).
-func maxActiveDiff[T tensor.Float](a, b *tensor.Dense[T], mask []bool, g Geometry) float64 {
-	var d float64
-	for i := 0; i < a.Rows; i++ {
-		fi := i / g.Mi
-		ra, rb := a.Row(i), b.Row(i)
-		for h := 0; h < g.H; h++ {
-			if !mask[fi*g.H+h] {
-				continue
-			}
-			if v := maxDiff(ra[h*g.M:(h+1)*g.M], rb[h*g.M:(h+1)*g.M]); v > d {
-				d = v
-			}
-		}
-	}
-	return d
+func maxActiveDiff[T tensor.Float](a, b *tensor.Dense[T], bi *tensor.BlockIndex) float64 {
+	a, b = a.Clone(), b.Clone()
+	tensor.ZeroSilent(a, bi)
+	tensor.ZeroSilent(b, bi)
+	return maxDiff(a.Data, b.Data)
 }
 
-// checkSilentZeros fails if any silent weight block holds a non-zero — the
-// invariant the sparse weight kernel relies on to skip them.
+// checkSilentZeros fails if any silent weight block holds anything but +0 —
+// the invariant the block-indexed kernels rely on to skip them.
 func checkSilentZeros[T tensor.Float](t *testing.T, name string, step int,
-	w *tensor.Dense[T], mask []bool, g Geometry) {
+	w *tensor.Dense[T], bi *tensor.BlockIndex) {
 	t.Helper()
-	for i := 0; i < w.Rows; i++ {
-		fi := i / g.Mi
-		row := w.Row(i)
-		for h := 0; h < g.H; h++ {
-			if mask[fi*g.H+h] {
-				continue
-			}
-			for j := h * g.M; j < (h+1)*g.M; j++ {
-				if row[j] != 0 {
-					t.Fatalf("%s step %d: silent W block (fi=%d,h=%d) holds %v at col %d",
-						name, step, fi, h, row[j], j)
-					return
-				}
-			}
+	z := w.Clone()
+	tensor.ZeroSilent(z, bi)
+	for i, v := range z.Data {
+		if g := w.Data[i]; g != v || math.Signbit(float64(g)) != math.Signbit(float64(v)) {
+			t.Fatalf("%s step %d: silent W element (%d,%d) holds %v",
+				name, step, i/w.Cols, i%w.Cols, g)
 		}
 	}
 }
@@ -336,7 +322,7 @@ func compare[T tensor.Float](t *testing.T, step int, name, refName string,
 		fields = append(fields, struct {
 			field string
 			diff  float64
-		}{"cij(active)", maxActiveDiff(cand.cij, ref.cij, cand.mask, cand.geom)})
+		}{"cij(active)", maxActiveDiff(cand.cij, ref.cij, cand.bi)})
 	} else {
 		fields = append(fields, struct {
 			field string
@@ -390,11 +376,11 @@ func Run[T tensor.Float](t *testing.T, cfg Config, naive backend.Kernels[T],
 		ref.denseStep(idx)
 		base.sparseStep(idx)
 		compare(t, s, "naive-sparse", "dense-masked", base, ref, cfg.DenseTol, true)
-		checkSilentZeros(t, "naive-sparse", s, base.w, base.mask, cfg.Geom)
+		checkSilentZeros(t, "naive-sparse", s, base.w, base.bi)
 		for i, m := range models {
 			m.sparseStep(idx)
 			compare(t, s, cands[i].Name, "naive-sparse", m, base, cfg.CrossTol, false)
-			checkSilentZeros(t, cands[i].Name, s, m.w, m.mask, cfg.Geom)
+			checkSilentZeros(t, cands[i].Name, s, m.w, m.bi)
 		}
 	}
 }

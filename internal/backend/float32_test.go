@@ -90,9 +90,9 @@ func TestFloat32BackendsMatchFloat64Reference(t *testing.T) {
 
 			// Forward pass: one-hot matmul + bias + grouped softmax.
 			w64 := tensor.NewMatrix(f.in, f.outs)
-			ref.UpdateWeights(w64, f.ci64, f.cj64, f.cij64, nil, 0, 0, 0, 0, 1e-9)
+			ref.UpdateWeights(w64, f.ci64, f.cj64, f.cij64, nil, 1e-9)
 			w32 := tensor.NewMatrix32(f.in, f.outs)
-			be.UpdateWeights(w32, f.ci32, f.cj32, f.cij32, nil, 0, 0, 0, 0, 1e-9)
+			be.UpdateWeights(w32, f.ci32, f.cj32, f.cij32, nil, 1e-9)
 			if d := maxAbsDiff32(w64.Data, w32.Data); d > 1e-3 {
 				t.Fatalf("UpdateWeights diverges by %g", d)
 			}
@@ -112,11 +112,11 @@ func TestFloat32BackendsMatchFloat64Reference(t *testing.T) {
 			}
 
 			out64 := tensor.NewMatrix(len(f.idx), f.outs)
-			ref.OneHotMatMul(out64, f.idx, w64)
+			ref.OneHotMatMul(out64, f.idx, w64, nil)
 			ref.AddBias(out64, bias64)
 			ref.SoftmaxGroups(out64, f.h, f.m, 1)
 			out32 := tensor.NewMatrix32(len(f.idx), f.outs)
-			be.OneHotMatMul(out32, f.idx, w32)
+			be.OneHotMatMul(out32, f.idx, w32, nil)
 			be.AddBias(out32, bias32)
 			be.SoftmaxGroups(out32, f.h, f.m, 1)
 			if d := maxAbsDiff32(out64.Data, out32.Data); d > 1e-4 {
@@ -129,8 +129,8 @@ func TestFloat32BackendsMatchFloat64Reference(t *testing.T) {
 			if d := maxAbsDiff32(f.ci64, f.ci32); d > 1e-5 {
 				t.Fatalf("OneHotMeanLerp diverges by %g", d)
 			}
-			ref.OneHotOuterLerp(f.cij64, f.idx, f.act64, 0.01)
-			be.OneHotOuterLerp(f.cij32, f.idx, f.act32, 0.01)
+			ref.OneHotOuterLerp(f.cij64, f.idx, f.act64, 0.01, nil)
+			be.OneHotOuterLerp(f.cij32, f.idx, f.act32, 0.01, nil)
 			if d := maxAbsDiff32(f.cij64.Data, f.cij32.Data); d > 1e-5 {
 				t.Fatalf("OneHotOuterLerp diverges by %g", d)
 			}

@@ -141,10 +141,14 @@ func activeCount(idx [][]int32) int64 {
 	return n
 }
 
-// sparseGatherOps counts the elementary operations of a block-sparse one-hot
-// gather or scatter: for each active index of each sample, one M-wide panel
-// op per hidden HCU the index's input hypercolumn actually reaches.
-func sparseGatherOps(idx [][]int32, bi *tensor.BlockIndex) int64 {
+// gatherOps counts the elementary operations of a one-hot gather or scatter
+// over cols-wide rows: for each active index of each sample, one M-wide panel
+// op per hidden HCU the index's input hypercolumn reaches (a whole row for
+// nil bi).
+func gatherOps(idx [][]int32, bi *tensor.BlockIndex, cols int) int64 {
+	if bi == nil {
+		return activeCount(idx) * int64(cols)
+	}
 	var n int64
 	for _, sample := range idx {
 		for _, in := range sample {
@@ -166,10 +170,12 @@ func (f *FPGASim) MatMulATB(dst, a, b *tensor.Matrix) {
 	f.dev.MatMulATB(dst, a, b)
 }
 
-// OneHotMatMul implements Backend.
-func (f *FPGASim) OneHotMatMul(dst *tensor.Matrix, idx [][]int32, w *tensor.Matrix) {
-	f.countLaunch(StageSupport, activeCount(idx)*int64(w.Cols))
-	f.dev.OneHotMatMul(dst, idx, w)
+// OneHotMatMul implements Backend: support gathers touch only the active
+// weight panels of the block index.
+func (f *FPGASim) OneHotMatMul(dst *tensor.Matrix, idx [][]int32, w *tensor.Matrix,
+	bi *tensor.BlockIndex) {
+	f.countLaunch(StageSupport, gatherOps(idx, bi, w.Cols))
+	f.dev.OneHotMatMul(dst, idx, w, bi)
 }
 
 // AddBias implements Backend.
@@ -202,10 +208,13 @@ func (f *FPGASim) OneHotMeanLerp(ci []float64, idx [][]int32, t float64) {
 	f.dev.OneHotMeanLerp(ci, idx, t)
 }
 
-// OneHotOuterLerp implements Backend.
-func (f *FPGASim) OneHotOuterLerp(cij *tensor.Matrix, idx [][]int32, act *tensor.Matrix, t float64) {
-	f.countLaunch(StageTrace, int64(len(cij.Data))+activeCount(idx)*int64(cij.Cols))
-	f.dev.OneHotOuterLerp(cij, idx, act, t)
+// OneHotOuterLerp implements Backend: the decay pass streams the joint-trace
+// elements the index covers (silent blocks are frozen) and the accumulation
+// pass is a gather-shaped scatter.
+func (f *FPGASim) OneHotOuterLerp(cij *tensor.Matrix, idx [][]int32, act *tensor.Matrix,
+	t float64, bi *tensor.BlockIndex) {
+	f.countLaunch(StageTrace, blockElems(cij, bi)+gatherOps(idx, bi, cij.Cols))
+	f.dev.OneHotOuterLerp(cij, idx, act, t, bi)
 }
 
 // OuterLerp implements Backend.
@@ -214,12 +223,13 @@ func (f *FPGASim) OuterLerp(cij *tensor.Matrix, a, b *tensor.Matrix, t float64) 
 	f.dev.OuterLerp(cij, a, b, t)
 }
 
-// UpdateWeights implements Backend: the float64 weight recompute followed by
-// posit storage quantization.
+// UpdateWeights implements Backend: the float64 weight recompute of the
+// panels the index covers, followed by posit storage quantization (silent
+// panels hold zeros, which quantize to zeros).
 func (f *FPGASim) UpdateWeights(w *tensor.Matrix, ci, cj []float64, cij *tensor.Matrix,
-	mask []bool, fi, mi, h, m int, eps float64) {
-	f.countLaunch(StageWeight, int64(len(w.Data)))
-	f.dev.UpdateWeights(w, ci, cj, cij, mask, fi, mi, h, m, eps)
+	bi *tensor.BlockIndex, eps float64) {
+	f.countLaunch(StageWeight, blockElems(w, bi))
+	f.dev.UpdateWeights(w, ci, cj, cij, bi, eps)
 	f.quantizeParams(w, nil)
 }
 
@@ -228,33 +238,6 @@ func (f *FPGASim) UpdateBias(bias, kbi, cj []float64, eps float64) {
 	f.countLaunch(StageWeight, int64(len(bias)))
 	f.dev.UpdateBias(bias, kbi, cj, eps)
 	f.format.QuantizeSlice(bias)
-}
-
-// OneHotMatMulSparse implements Backend: support gathers touch only the
-// active weight panels of the block index.
-func (f *FPGASim) OneHotMatMulSparse(dst *tensor.Matrix, idx [][]int32, w *tensor.Matrix,
-	bi *tensor.BlockIndex) {
-	f.countLaunch(StageSupport, sparseGatherOps(idx, bi))
-	f.dev.OneHotMatMulSparse(dst, idx, w, bi)
-}
-
-// OneHotOuterLerpSparse implements Backend: the decay pass streams the active
-// joint-trace elements only (silent blocks are frozen) and the accumulation
-// pass is a block-sparse scatter.
-func (f *FPGASim) OneHotOuterLerpSparse(cij *tensor.Matrix, idx [][]int32,
-	act *tensor.Matrix, t float64, bi *tensor.BlockIndex) {
-	f.countLaunch(StageTrace, bi.ActiveElems()+sparseGatherOps(idx, bi))
-	f.dev.OneHotOuterLerpSparse(cij, idx, act, t, bi)
-}
-
-// UpdateWeightsSparse implements Backend: only active weight panels are
-// re-derived (silent panels hold zeros and are never written), then the
-// parameters are re-quantized into posit storage like the dense kernel.
-func (f *FPGASim) UpdateWeightsSparse(w *tensor.Matrix, ci, cj []float64, cij *tensor.Matrix,
-	bi *tensor.BlockIndex, eps float64) {
-	f.countLaunch(StageWeight, bi.ActiveElems())
-	f.dev.UpdateWeightsSparse(w, ci, cj, cij, bi, eps)
-	f.quantizeParams(w, nil)
 }
 
 // quantizeParams rounds the derived parameters into posit storage: w row
@@ -275,36 +258,25 @@ func (f *FPGASim) quantizeParams(w *tensor.Matrix, bias []float64) {
 // into posit storage on the way out, preserving the numerical contract of
 // the composed kernels (UpdateWeights/UpdateBias quantize identically).
 func (f *FPGASim) LayerStep(idx [][]int32, act *tensor.Matrix, ci, cj []float64,
-	cij, w *tensor.Matrix, bias []float64, mask []bool, geom LayerGeom, hyper LayerHyper[float64]) {
+	cij, w *tensor.Matrix, bias []float64, hyper LayerHyper[float64]) {
 	nact := activeCount(idx)
-	units := int64(geom.Units())
+	units := int64(len(bias))
 	batch := int64(len(idx))
 
+	// Gathers, trace decay/accumulation and weight re-derivation stream only
+	// the panels their index covers: the receptive field for the support and
+	// the weights, the trace index (nil = every block) for Cij.
 	var ops [numStages]int64
-	if bi := hyper.Blocks; bi != nil {
-		// Block-sparse regime: gathers, trace decay/accumulation and weight
-		// re-derivation stream only the active panels of the block index.
-		gather := sparseGatherOps(idx, bi)
-		ops[StageSupport] = gather + batch*units // gathers + bias add
-		if hyper.Noise != nil {
-			ops[StageSupport] += batch * units
-		}
-		ops[StageSoftmax] = batch * units
-		// ci EMA + cj EMA + active-block Cij decay and accumulation.
-		ops[StageTrace] = int64(len(ci)) + nact + units + bi.ActiveElems() + gather
-		// Active-panel W re-derivation + homeostatic gain + bias refresh.
-		ops[StageWeight] = bi.ActiveElems() + 2*units
-	} else {
-		ops[StageSupport] = nact*units + batch*units // gathers + bias add
-		if hyper.Noise != nil {
-			ops[StageSupport] += batch * units
-		}
-		ops[StageSoftmax] = batch * units
-		// ci EMA + cj EMA + Cij decay and accumulation.
-		ops[StageTrace] = int64(len(ci)) + nact + units + int64(len(cij.Data)) + nact*units
-		// W re-derivation + homeostatic gain + bias refresh.
-		ops[StageWeight] = int64(len(w.Data)) + 2*units
+	ops[StageSupport] = gatherOps(idx, hyper.Blocks, w.Cols) + batch*units // gathers + bias add
+	if hyper.Noise != nil {
+		ops[StageSupport] += batch * units
 	}
+	ops[StageSoftmax] = batch * units
+	// ci EMA + cj EMA + Cij decay and accumulation.
+	ops[StageTrace] = int64(len(ci)) + nact + units + blockElems(cij, hyper.Trace) +
+		gatherOps(idx, hyper.Trace, cij.Cols)
+	// W re-derivation + homeostatic gain + bias refresh.
+	ops[StageWeight] = blockElems(w, hyper.Blocks) + 2*units
 
 	f.pipe.Steps++
 	f.pipe.KernelLaunches++
@@ -318,6 +290,6 @@ func (f *FPGASim) LayerStep(idx [][]int32, act *tensor.Matrix, ci, cj []float64,
 	}
 	f.pipe.TotalCycles += peak
 
-	f.step.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
+	f.step.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
 	f.quantizeParams(w, bias)
 }

@@ -30,7 +30,7 @@ func TestFPGASimWeightsArePositValues(t *testing.T) {
 	cij := randProbMat(rng, in, units)
 	f := NewFPGASim(2, posit.Posit16)
 	w := tensor.NewMatrix(in, units)
-	f.UpdateWeights(w, ci, cj, cij, nil, 0, 0, 0, 0, 1e-9)
+	f.UpdateWeights(w, ci, cj, cij, nil, 1e-9)
 	for i, v := range w.Data {
 		if q := posit.Posit16.Quantize(v); q != v {
 			t.Fatalf("weight %d = %v is not a posit16 value (requantizes to %v)", i, v, q)
@@ -64,15 +64,15 @@ func TestFPGASimCloseToParallel(t *testing.T) {
 	}
 	cij := randProbMat(rng, in, units)
 	ref := tensor.NewMatrix(in, units)
-	MustNew("parallel", 2).UpdateWeights(ref, ci, cj, cij, nil, 0, 0, 0, 0, 1e-9)
+	MustNew("parallel", 2).UpdateWeights(ref, ci, cj, cij, nil, 1e-9)
 	got := tensor.NewMatrix(in, units)
-	NewFPGASim(2, posit.Posit16).UpdateWeights(got, ci, cj, cij, nil, 0, 0, 0, 0, 1e-9)
+	NewFPGASim(2, posit.Posit16).UpdateWeights(got, ci, cj, cij, nil, 1e-9)
 	if d := got.MaxAbsDiff(ref); d > 5e-3 {
 		t.Fatalf("posit16 weights deviate by %g", d)
 	}
 	// posit8 deviates more — and must still be finite and ordered.
 	got8 := tensor.NewMatrix(in, units)
-	NewFPGASim(2, posit.Posit8).UpdateWeights(got8, ci, cj, cij, nil, 0, 0, 0, 0, 1e-9)
+	NewFPGASim(2, posit.Posit8).UpdateWeights(got8, ci, cj, cij, nil, 1e-9)
 	d8 := got8.MaxAbsDiff(ref)
 	d16 := got.MaxAbsDiff(ref)
 	if d8 <= d16 {

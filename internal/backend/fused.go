@@ -58,14 +58,16 @@ func growScratch[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// checkLayerStep validates every shape of a fused step against the geometry,
-// so the blocked passes can index without per-element checks.
+// checkLayerStep validates every shape of a fused step against the geometry
+// of hyper.Blocks, so the blocked passes can index without per-element
+// checks.
 func checkLayerStep[T tensor.Float](idx [][]int32, act *tensor.Dense[T], ci, cj []T,
-	cij, w *tensor.Dense[T], bias []T, mask []bool, geom LayerGeom, hyper LayerHyper[T]) {
-	in, units := geom.Inputs(), geom.Units()
-	if in <= 0 || units <= 0 {
-		panic("backend: LayerStep empty geometry")
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	bi := hyper.Blocks
+	if bi == nil {
+		panic("backend: LayerStep needs hyper.Blocks")
 	}
+	in, units := bi.Fi*bi.Mi, bi.H*bi.M
 	if act.Rows != len(idx) || act.Cols != units {
 		panic("backend: LayerStep act shape mismatch")
 	}
@@ -75,32 +77,29 @@ func checkLayerStep[T tensor.Float](idx [][]int32, act *tensor.Dense[T], ci, cj 
 	if len(ci) != in || len(cj) != units || len(bias) != units || len(hyper.Kbi) != units {
 		panic("backend: LayerStep vector length mismatch")
 	}
-	if mask != nil && len(mask) != geom.Fi*geom.H {
-		panic("backend: LayerStep mask length mismatch")
-	}
 	if hyper.Noise != nil && len(hyper.Noise) != len(idx)*units {
 		panic("backend: LayerStep noise length mismatch")
 	}
-	if bi := hyper.Blocks; bi != nil &&
-		(bi.Fi != geom.Fi || bi.Mi != geom.Mi || bi.H != geom.H || bi.M != geom.M) {
-		panic("backend: LayerStep block-index geometry mismatch")
+	if tr := hyper.Trace; tr != nil &&
+		(tr.Fi != bi.Fi || tr.Mi != bi.Mi || tr.H != bi.H || tr.M != bi.M) {
+		panic("backend: LayerStep trace-index geometry mismatch")
 	}
 }
 
 // LayerStep implements LayerStepper.
 func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
-	cij, w *tensor.Dense[T], bias []T, mask []bool, geom LayerGeom, hyper LayerHyper[T]) {
-	checkLayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
-	units := geom.Units()
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	checkLayerStep(idx, act, ci, cj, cij, w, bias, hyper)
+	units := hyper.Blocks.H * hyper.Blocks.M
 	t := hyper.Taupdt
 
 	// Pass 1 — forward, sharded over the batch: support gather, bias,
 	// optional pre-drawn noise, per-HCU softmax, one visit per row.
 	if f.workers <= 1 {
-		f.forwardBand(act, idx, w, bias, hyper, geom, 0, len(idx))
+		f.forwardBand(act, idx, w, bias, hyper, 0, len(idx))
 	} else {
 		f.parallelFor(len(idx), func(lo, hi int) {
-			f.forwardBand(act, idx, w, bias, hyper, geom, lo, hi)
+			f.forwardBand(act, idx, w, bias, hyper, lo, hi)
 		})
 	}
 
@@ -111,52 +110,35 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	f.meanAct = growScratch(f.meanAct, units)
 	tensor.ColMeans(f.meanAct, act)
 	tensor.Lerp(cj, f.meanAct, T(t))
-	homeostasisStep(hyper.Kbi, cj, geom.M, hyper.Taubdt, hyper.PMinFraction, hyper.Eps)
+	homeostasisStep(hyper.Kbi, cj, hyper.Blocks.M, hyper.Taubdt, hyper.PMinFraction, hyper.Eps)
 	updateBias(bias, hyper.Kbi, cj, hyper.Eps)
 	f.logcj = growScratch(f.logcj, units)
 	logMaxSlice(f.logcj, cj, T(hyper.Eps))
 
 	// Pass 2 — trace + weight refresh, sharded over Cij/W rows, blocked so a
 	// row block's decay, accumulation, and log-odds re-derivation all happen
-	// while the block is cache-resident. The sparse regime walks only the
-	// active blocks of the index through the same segment microkernels.
-	if bi := hyper.Blocks; bi != nil {
-		if f.workers <= 1 {
-			f.traceWeightBandSparse(cij, w, act, idx, ci, bi, t, hyper.Eps, 0, cij.Rows)
-		} else {
-			f.parallelFor(cij.Rows, func(lo, hi int) {
-				f.traceWeightBandSparse(cij, w, act, idx, ci, bi, t, hyper.Eps, lo, hi)
-			})
-		}
-		return
-	}
+	// while the block is cache-resident.
 	if f.workers <= 1 {
-		f.traceWeightBand(cij, w, act, idx, ci, mask, geom, t, hyper.Eps, 0, cij.Rows)
+		f.traceWeightBand(cij, w, act, idx, ci, hyper, 0, cij.Rows)
 	} else {
 		f.parallelFor(cij.Rows, func(lo, hi int) {
-			f.traceWeightBand(cij, w, act, idx, ci, mask, geom, t, hyper.Eps, lo, hi)
+			f.traceWeightBand(cij, w, act, idx, ci, hyper, lo, hi)
 		})
 	}
 }
 
-// forwardBand computes act rows [lo,hi): support gather, bias, optional
-// pre-drawn noise, per-HCU softmax — one pass per row. Rows are independent,
-// so worker sharding cannot change the result. In the sparse regime the
-// gather touches only active-block weight segments; the skipped segments are
-// exact zeros, so the support is bit-identical to the dense gather.
+// forwardBand computes act rows [lo,hi): support gather over the active
+// blocks, bias, optional pre-drawn noise, per-HCU softmax — one pass per row.
+// Rows are independent, so worker sharding cannot change the result, and
+// silent weight blocks are exact zeros, so skipping them cannot either.
 func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
-	bias []T, hyper LayerHyper[T], geom LayerGeom, lo, hi int) {
-	n := w.Cols
-	bi := hyper.Blocks
+	bias []T, hyper LayerHyper[T], lo, hi int) {
+	n, bi := w.Cols, hyper.Blocks
 	for s := lo; s < hi; s++ {
 		row := act.Row(s)
 		clear(row)
 		for _, in := range idx[s] {
 			wrow := w.Data[int(in)*n : int(in)*n+n]
-			if bi == nil {
-				tensor.Add(row, wrow)
-				continue
-			}
 			for _, h := range bi.Active(int(in) / bi.Mi) {
 				o := int(h) * bi.M
 				tensor.Add(row[o:o+bi.M], wrow[o:o+bi.M])
@@ -166,39 +148,8 @@ func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.De
 		if hyper.Noise != nil {
 			tensor.Add(row, hyper.Noise[s*n:(s+1)*n])
 		}
-		for g := 0; g < geom.H; g++ {
-			tensor.SoftmaxRow(row[g*geom.M:(g+1)*geom.M], hyper.Temperature)
-		}
-	}
-}
-
-// traceWeightBandSparse is the block-sparse pass 2: for Cij/W rows [lo,hi),
-// decay and accumulate only the active blocks (the shared sparse range
-// helper) and re-derive only the active weight segments while the rows are
-// cache-resident. Silent trace blocks stay frozen and silent weight blocks
-// keep the zeros the last masked refresh wrote.
-func (f *Fused[T]) traceWeightBandSparse(cij, w, act *tensor.Dense[T], idx [][]int32,
-	ci []T, bi *tensor.BlockIndex, t, eps float64, lo, hi int) {
-	epsT := T(eps)
-	eps2 := epsT * epsT
-	logcj := f.logcj
-	m := bi.M
-	block := fusedBlockRows(cij.Cols, int(elemSize[T]()))
-	for b0 := lo; b0 < hi; b0 += block {
-		b1 := min(b0+block, hi)
-		oneHotOuterLerpSparseRange(cij, idx, act, t, bi, b0, b1)
-		for i := b0; i < b1; i++ {
-			active := bi.Active(i / bi.Mi)
-			if len(active) == 0 {
-				continue
-			}
-			logci := logT(max(ci[i], epsT))
-			crow := cij.Row(i)
-			wrow := w.Row(i)
-			for _, h := range active {
-				o := int(h) * m
-				weightRowFromTrace(wrow[o:o+m], crow[o:o+m], logcj[o:o+m], logci, eps2)
-			}
+		for g := 0; g < bi.H; g++ {
+			tensor.SoftmaxRow(row[g*bi.M:(g+1)*bi.M], hyper.Temperature)
 		}
 	}
 }
@@ -225,34 +176,26 @@ func homeostasisStep[T tensor.Float](kbi, cj []T, m int, taubdt, pminFraction, e
 // rows, in row blocks sized so one block of each matrix fits in L2 together:
 // the freshly decayed-and-accumulated trace rows are consumed by the log-odds
 // recompute before they can fall out of cache. The arithmetic is exactly
-// oneHotOuterLerpRange followed by updateWeightsRange's formula with the
-// log(Cj) table hoisted out (the composed kernel rebuilds it per call).
+// oneHotOuterLerpRange over hyper.Trace followed by updateWeightsRange's
+// formula over the active blocks of hyper.Blocks, with the log(Cj) table
+// hoisted out (the composed kernel rebuilds it per call). Silent weight
+// blocks keep their zeros.
 func (f *Fused[T]) traceWeightBand(cij, w, act *tensor.Dense[T], idx [][]int32,
-	ci []T, mask []bool, geom LayerGeom, t, eps float64, lo, hi int) {
-	epsT := T(eps)
+	ci []T, hyper LayerHyper[T], lo, hi int) {
+	epsT := T(hyper.Eps)
 	eps2 := epsT * epsT
 	logcj := f.logcj
+	bi, m := hyper.Blocks, hyper.Blocks.M
 	block := fusedBlockRows(cij.Cols, int(elemSize[T]()))
 	for b0 := lo; b0 < hi; b0 += block {
 		b1 := min(b0+block, hi)
-		oneHotOuterLerpRange(cij, idx, act, t, b0, b1)
+		oneHotOuterLerpRange(cij, idx, act, hyper.Taupdt, hyper.Trace, b0, b1)
 		for i := b0; i < b1; i++ {
 			logci := logT(max(ci[i], epsT))
-			crow := cij.Row(i)
-			wrow := w.Row(i)
-			if mask == nil {
-				weightRowFromTrace(wrow, crow, logcj, logci, eps2)
-				continue
-			}
-			maskRow := mask[(i/geom.Mi)*geom.H : (i/geom.Mi)*geom.H+geom.H]
-			for g := 0; g < geom.H; g++ {
-				seg := wrow[g*geom.M : (g+1)*geom.M]
-				if !maskRow[g] {
-					clear(seg)
-					continue
-				}
-				weightRowFromTrace(seg, crow[g*geom.M:(g+1)*geom.M],
-					logcj[g*geom.M:(g+1)*geom.M], logci, eps2)
+			crow, wrow := cij.Row(i), w.Row(i)
+			for _, h := range bi.Active(i / bi.Mi) {
+				o := int(h) * m
+				weightRowFromTrace(wrow[o:o+m], crow[o:o+m], logcj[o:o+m], logci, eps2)
 			}
 		}
 	}

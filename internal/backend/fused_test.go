@@ -18,14 +18,15 @@ type layerState[T tensor.Float] struct {
 	cij  *tensor.Dense[T]
 	w    *tensor.Dense[T]
 	bias []T
-	mask []bool
-	geom LayerGeom
 	hyp  LayerHyper[T]
 }
 
+// newLayerState builds a dense-regime step operand set: the trace index is
+// nil, the receptive field is a random partial index when masked and the full
+// index otherwise, and silent weight blocks hold zeros.
 func newLayerState[T tensor.Float](rng *rand.Rand, batch int, masked, noisy bool) *layerState[T] {
-	geom := LayerGeom{Fi: 6, Mi: 4, H: 3, M: 5}
-	in, units := geom.Inputs(), geom.Units()
+	const fi, mi, h, m = 6, 4, 3, 5
+	in, units := fi*mi, h*m
 	s := &layerState[T]{
 		act:  tensor.NewDense[T](batch, units),
 		ci:   make([]T, in),
@@ -33,7 +34,6 @@ func newLayerState[T tensor.Float](rng *rand.Rand, batch int, masked, noisy bool
 		cij:  tensor.NewDense[T](in, units),
 		w:    tensor.NewDense[T](in, units),
 		bias: make([]T, units),
-		geom: geom,
 		hyp: LayerHyper[T]{
 			Taupdt:       0.03,
 			Taubdt:       0.02,
@@ -45,8 +45,8 @@ func newLayerState[T tensor.Float](rng *rand.Rand, batch int, masked, noisy bool
 	}
 	s.idx = make([][]int32, batch)
 	for b := range s.idx {
-		for f := 0; f < geom.Fi; f++ {
-			s.idx[b] = append(s.idx[b], int32(f*geom.Mi+rng.Intn(geom.Mi)))
+		for f := 0; f < fi; f++ {
+			s.idx[b] = append(s.idx[b], int32(f*mi+rng.Intn(mi)))
 		}
 	}
 	for i := range s.ci {
@@ -63,12 +63,15 @@ func newLayerState[T tensor.Float](rng *rand.Rand, batch int, masked, noisy bool
 	for i := range s.w.Data {
 		s.w.Data[i] = T(rng.NormFloat64())
 	}
+	var mask []bool
 	if masked {
-		s.mask = make([]bool, geom.Fi*geom.H)
-		for i := range s.mask {
-			s.mask[i] = rng.Intn(2) == 0
+		mask = make([]bool, fi*h)
+		for i := range mask {
+			mask[i] = rng.Intn(2) == 0
 		}
 	}
+	s.hyp.Blocks = tensor.NewBlockIndex(mask, fi, mi, h, m)
+	tensor.ZeroSilent(s.w, s.hyp.Blocks)
 	if noisy {
 		s.hyp.Noise = make([]T, batch*units)
 		for i := range s.hyp.Noise {
@@ -91,7 +94,7 @@ func (s *layerState[T]) clone() *layerState[T] {
 }
 
 func (s *layerState[T]) step(st LayerStepper[T]) {
-	st.LayerStep(s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.mask, s.geom, s.hyp)
+	st.LayerStep(s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.hyp)
 }
 
 // composedStep drives the same batch update through the composed kernel
@@ -99,23 +102,23 @@ func (s *layerState[T]) step(st LayerStepper[T]) {
 // homeostasis reference is written independently (float64 throughout) so the
 // comparison does not share code with the fused implementation.
 func composedStep[T tensor.Float](be Kernels[T], s *layerState[T]) {
-	t := s.hyp.Taupdt
-	units := s.geom.Units()
-	be.OneHotMatMul(s.act, s.idx, s.w)
+	t, bi := s.hyp.Taupdt, s.hyp.Blocks
+	units := bi.H * bi.M
+	be.OneHotMatMul(s.act, s.idx, s.w, bi)
 	be.AddBias(s.act, s.bias)
 	if s.hyp.Noise != nil {
 		for i, v := range s.hyp.Noise {
 			s.act.Data[i] += v
 		}
 	}
-	be.SoftmaxGroups(s.act, s.geom.H, s.geom.M, s.hyp.Temperature)
+	be.SoftmaxGroups(s.act, bi.H, bi.M, s.hyp.Temperature)
 	be.OneHotMeanLerp(s.ci, s.idx, t)
 	mean := make([]T, units)
 	tensor.ColMeans(mean, s.act)
 	be.Lerp(s.cj, mean, t)
-	be.OneHotOuterLerp(s.cij, s.idx, s.act, t)
-	fair := math.Log(1 / float64(s.geom.M))
-	pmin := s.hyp.PMinFraction / float64(s.geom.M)
+	be.OneHotOuterLerp(s.cij, s.idx, s.act, t, s.hyp.Trace)
+	fair := math.Log(1 / float64(bi.M))
+	pmin := s.hyp.PMinFraction / float64(bi.M)
 	for j, v := range s.cj {
 		target := 1.0
 		if float64(v) < pmin {
@@ -123,7 +126,7 @@ func composedStep[T tensor.Float](be Kernels[T], s *layerState[T]) {
 		}
 		s.hyp.Kbi[j] = T((1-s.hyp.Taubdt)*float64(s.hyp.Kbi[j]) + s.hyp.Taubdt*target)
 	}
-	be.UpdateWeights(s.w, s.ci, s.cj, s.cij, s.mask, s.geom.Fi, s.geom.Mi, s.geom.H, s.geom.M, s.hyp.Eps)
+	be.UpdateWeights(s.w, s.ci, s.cj, s.cij, bi, s.hyp.Eps)
 	be.UpdateBias(s.bias, s.hyp.Kbi, s.cj, s.hyp.Eps)
 }
 
@@ -255,7 +258,7 @@ func TestFusedBackendsImplementLayerStepper(t *testing.T) {
 // corrupt memory.
 func TestFusedLayerStepShapeChecks(t *testing.T) {
 	s := newLayerState[float64](rand.New(rand.NewSource(1)), 4, false, false)
-	s.act = tensor.NewDense[float64](3, s.geom.Units()) // batch mismatch
+	s.act = tensor.NewDense[float64](3, s.w.Cols) // batch mismatch
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on act shape mismatch")

@@ -263,11 +263,13 @@ func (g *GPUSim[T]) MatMulATB(dst, a, b *tensor.Dense[T]) {
 	g.dev.MatMulATB(dst, a, b)
 }
 
-// OneHotMatMul implements Kernels.
-func (g *GPUSim[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T]) {
+// OneHotMatMul implements Kernels. One launch; the weight read is charged
+// at the index's active-element count.
+func (g *GPUSim[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
+	bi *tensor.BlockIndex) {
 	g.idxBytes(idx)
-	g.launch([][]T{w.Data}, [][]T{dst.Data})
-	g.dev.OneHotMatMul(dst, idx, w)
+	g.launchPartial([]partial[T]{blocksOf(w, bi)}, []partial[T]{full(dst.Data)})
+	g.dev.OneHotMatMul(dst, idx, w, bi)
 }
 
 // AddBias implements Kernels.
@@ -301,11 +303,14 @@ func (g *GPUSim[T]) OneHotMeanLerp(ci []T, idx [][]int32, t float64) {
 	g.dev.OneHotMeanLerp(ci, idx, t)
 }
 
-// OneHotOuterLerp implements Kernels.
-func (g *GPUSim[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64) {
+// OneHotOuterLerp implements Kernels. The joint-trace write moves only the
+// blocks the index covers — silent blocks are frozen, so the modeled kernel
+// never touches them.
+func (g *GPUSim[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T],
+	t float64, bi *tensor.BlockIndex) {
 	g.idxBytes(idx)
-	g.launch([][]T{act.Data}, [][]T{cij.Data})
-	g.dev.OneHotOuterLerp(cij, idx, act, t)
+	g.launchPartial([]partial[T]{full(act.Data)}, []partial[T]{blocksOf(cij, bi)})
+	g.dev.OneHotOuterLerp(cij, idx, act, t, bi)
 }
 
 // OuterLerp implements Kernels.
@@ -314,11 +319,13 @@ func (g *GPUSim[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t flo
 	g.dev.OuterLerp(cij, a, b, t)
 }
 
-// UpdateWeights implements Kernels.
+// UpdateWeights implements Kernels. Both the joint-trace read and the weight
+// write are charged at the index's active-element count.
 func (g *GPUSim[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	mask []bool, fi, mi, h, m int, eps float64) {
-	g.launch([][]T{ci, cj, cij.Data}, [][]T{w.Data})
-	g.dev.UpdateWeights(w, ci, cj, cij, mask, fi, mi, h, m, eps)
+	bi *tensor.BlockIndex, eps float64) {
+	g.launchPartial([]partial[T]{full(ci), full(cj), blocksOf(cij, bi)},
+		[]partial[T]{blocksOf(w, bi)})
+	g.dev.UpdateWeights(w, ci, cj, cij, bi, eps)
 }
 
 // UpdateBias implements Kernels.
@@ -334,37 +341,19 @@ func full[T tensor.Float](b []T) partial[T] {
 
 // blocksOf returns a partial operand for a block-tiled matrix (W or Cij),
 // charged at the index's active-element count: the modeled kernel gathers and
-// scatters only the active (input HCU × hidden HCU) panels.
+// scatters only the active (input HCU × hidden HCU) panels. nil charges the
+// whole matrix.
 func blocksOf[T tensor.Float](m *tensor.Dense[T], bi *tensor.BlockIndex) partial[T] {
-	return partial[T]{buf: m.Data, elems: bi.ActiveElems()}
+	return partial[T]{buf: m.Data, elems: blockElems(m, bi)}
 }
 
-// OneHotMatMulSparse implements Kernels. One launch; the weight read is
-// charged at the active-block element count only.
-func (g *GPUSim[T]) OneHotMatMulSparse(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
-	bi *tensor.BlockIndex) {
-	g.idxBytes(idx)
-	g.launchPartial([]partial[T]{blocksOf(w, bi)}, []partial[T]{full(dst.Data)})
-	g.dev.OneHotMatMulSparse(dst, idx, w, bi)
-}
-
-// OneHotOuterLerpSparse implements Kernels. The joint-trace write moves only
-// the active blocks — silent blocks are frozen, so the modeled kernel never
-// touches them.
-func (g *GPUSim[T]) OneHotOuterLerpSparse(cij *tensor.Dense[T], idx [][]int32,
-	act *tensor.Dense[T], t float64, bi *tensor.BlockIndex) {
-	g.idxBytes(idx)
-	g.launchPartial([]partial[T]{full(act.Data)}, []partial[T]{blocksOf(cij, bi)})
-	g.dev.OneHotOuterLerpSparse(cij, idx, act, t, bi)
-}
-
-// UpdateWeightsSparse implements Kernels. Both the joint-trace read and the
-// weight write are charged at the active-block element count.
-func (g *GPUSim[T]) UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64) {
-	g.launchPartial([]partial[T]{full(ci), full(cj), blocksOf(cij, bi)},
-		[]partial[T]{blocksOf(w, bi)})
-	g.dev.UpdateWeightsSparse(w, ci, cj, cij, bi, eps)
+// blockElems returns the number of elements of m the index covers — all of
+// them for nil.
+func blockElems[T tensor.Float](m *tensor.Dense[T], bi *tensor.BlockIndex) int64 {
+	if bi == nil {
+		return int64(len(m.Data))
+	}
+	return bi.ActiveElems()
 }
 
 // LayerStep implements LayerStepper: the whole-layer offload the paper's
@@ -373,28 +362,19 @@ func (g *GPUSim[T]) UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *ten
 // only H2D traffic under PolicyOffloaded is the one-hot index batch plus any
 // pre-drawn support noise, and nothing comes back — the activations are
 // device scratch consumed in-pass, never downloaded. The composed sequence
-// for the same step costs six-plus launches and repeated index uploads.
+// for the same step costs six-plus launches and repeated index uploads. W
+// moves in the receptive field's active panels, Cij in the trace index's;
+// the short vectors move whole.
 func (g *GPUSim[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
-	cij, w *tensor.Dense[T], bias []T, mask []bool, geom LayerGeom, hyper LayerHyper[T]) {
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
 	g.idxBytes(idx)
-	if bi := hyper.Blocks; bi != nil {
-		// Block-sparse regime: W and Cij move (and are rewritten) only in
-		// their active panels; the short vectors move whole as before.
-		ins := []partial[T]{blocksOf(w, bi), full(bias), full(ci), full(cj),
-			blocksOf(cij, bi), full(hyper.Kbi)}
-		if hyper.Noise != nil {
-			ins = append(ins, full(hyper.Noise))
-		}
-		outs := []partial[T]{full(ci), full(cj), blocksOf(cij, bi),
-			blocksOf(w, bi), full(bias), full(hyper.Kbi)}
-		g.launchPartial(ins, outs)
-	} else {
-		ins := [][]T{w.Data, bias, ci, cj, cij.Data, hyper.Kbi}
-		if hyper.Noise != nil {
-			ins = append(ins, hyper.Noise)
-		}
-		outs := [][]T{ci, cj, cij.Data, w.Data, bias, hyper.Kbi}
-		g.launch(ins, outs)
+	ins := []partial[T]{blocksOf(w, hyper.Blocks), full(bias), full(ci), full(cj),
+		blocksOf(cij, hyper.Trace), full(hyper.Kbi)}
+	if hyper.Noise != nil {
+		ins = append(ins, full(hyper.Noise))
 	}
-	g.step.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
+	outs := []partial[T]{full(ci), full(cj), blocksOf(cij, hyper.Trace),
+		blocksOf(w, hyper.Blocks), full(bias), full(hyper.Kbi)}
+	g.launchPartial(ins, outs)
+	g.step.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
 }

@@ -43,10 +43,10 @@ func driveGPUSim[T tensor.Float](g *GPUSim[T], rng *rand.Rand) TransferStats {
 
 	g.ResetStats()
 	g.OneHotMeanLerp(ci, idx, 0.01)
-	g.OneHotOuterLerp(cij, idx, act, 0.01)
-	g.UpdateWeights(w, ci, cj, cij, nil, 0, 0, 0, 0, 1e-9)
+	g.OneHotOuterLerp(cij, idx, act, 0.01, nil)
+	g.UpdateWeights(w, ci, cj, cij, nil, 1e-9)
 	g.UpdateBias(bias, kbi, cj, 1e-9)
-	g.OneHotMatMul(out, idx, w)
+	g.OneHotMatMul(out, idx, w, nil)
 	g.AddBias(out, bias)
 	g.SoftmaxGroups(out, 1, outs, 1)
 	return g.Stats()

@@ -12,24 +12,10 @@ import "streambrain/internal/tensor"
 // composed sequence therefore stays the contract: LayerStep must compute the
 // same function (see the fused≡composed property tests for the tolerance).
 
-// LayerGeom fixes the modular geometry of one BCPNN hidden layer for a fused
-// step: Fi input hypercolumns of Mi units each feeding H hidden HCUs of M
-// MCUs each. The receptive-field mask, when present, gates Fi×H hypercolumn
-// blocks exactly as in Kernels.UpdateWeights.
-type LayerGeom struct {
-	Fi, Mi int
-	H, M   int
-}
-
-// Inputs returns the total input unit count (Fi·Mi).
-func (g LayerGeom) Inputs() int { return g.Fi * g.Mi }
-
-// Units returns the total hidden unit count (H·M).
-func (g LayerGeom) Units() int { return g.H * g.M }
-
 // LayerHyper carries the per-step schedule of a fused layer step: the scalar
-// hyperparameters of the composed sequence plus the two batch-varying vectors
-// that the composed path threads through core instead of the kernel calls.
+// hyperparameters of the composed sequence, the two batch-varying vectors
+// that the composed path threads through core instead of the kernel calls,
+// and the block indexes the composed kernels take.
 //
 // Kbi is the homeostatic bias gain (length H·M). LayerStep applies the
 // floored-bias homeostasis rule in-pass — Kbi is read AND rewritten — because
@@ -53,14 +39,17 @@ type LayerHyper[T tensor.Float] struct {
 	Kbi          []T     // homeostatic gain, updated in-pass
 	Noise        []T     // optional pre-drawn support noise, batch×(H·M) row-major
 
-	// Blocks, when non-nil, selects the block-sparse compute regime
-	// (DESIGN.md §15): the step gathers, decays, accumulates and re-derives
-	// only the active (input HCU × hidden HCU) blocks of the index. Silent
-	// joint-trace blocks are frozen (not decayed) and silent weight blocks
-	// are not written — the caller guarantees they hold zeros by running a
-	// full masked refresh whenever the mask changes. Blocks must agree with
-	// geom and, when both are given, with mask.
+	// Blocks is the layer's receptive field and geometry (DESIGN.md §15):
+	// Fi input hypercolumns of Mi units feed H hidden HCUs of M MCUs. The
+	// gather and the weight re-derivation walk only its active blocks;
+	// silent weight blocks are never written, and the caller keeps them at
+	// exact zeros (tensor.ZeroSilent on every index rebuild). Required.
 	Blocks *tensor.BlockIndex
+	// Trace is the index the joint-trace update walks, exactly as in
+	// Kernels.OneHotOuterLerp: nil decays every block (the dense regime),
+	// Blocks freezes the silent ones (the sparse regime). It is the only
+	// difference between the two regimes.
+	Trace *tensor.BlockIndex
 }
 
 // LayerStepper is the optional whole-layer offload capability. LayerStep
@@ -71,7 +60,7 @@ type LayerHyper[T tensor.Float] struct {
 //	cj   = lerp(cj,  colmeans(act))                         (unit trace)
 //	cij  = lerp(cij, mean_s onehot(idx) ⊗ act)              (joint trace)
 //	kbi  = homeostasis(kbi, cj)                             (gain update)
-//	w    = log-odds(ci, cj, cij) gated by mask              (in-pass refresh)
+//	w    = log-odds(ci, cj, cij) over active blocks         (in-pass refresh)
 //	bias = kbi · log(max(cj, eps))                          (in-pass refresh)
 //
 // equivalent to the composed kernel sequence but in as few passes as the
@@ -84,5 +73,5 @@ type LayerHyper[T tensor.Float] struct {
 // method, is never called concurrently on one backend value.
 type LayerStepper[T tensor.Float] interface {
 	LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T, cij, w *tensor.Dense[T],
-		bias []T, mask []bool, geom LayerGeom, hyper LayerHyper[T])
+		bias []T, hyper LayerHyper[T])
 }

@@ -30,8 +30,9 @@ func (*Naive[T]) MatMul(dst, a, b *tensor.Dense[T]) { tensor.MatMulNaive(dst, a,
 func (*Naive[T]) MatMulATB(dst, a, b *tensor.Dense[T]) { tensor.MatMulATB(dst, a, b) }
 
 // OneHotMatMul implements Kernels.
-func (*Naive[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T]) {
-	tensor.OneHotMatMul(dst, idx, w)
+func (*Naive[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
+	bi *tensor.BlockIndex) {
+	tensor.OneHotMatMul(dst, idx, w, bi)
 }
 
 // AddBias implements Kernels.
@@ -84,32 +85,65 @@ func oneHotMeanLerp[T tensor.Float](ci []T, idx [][]int32, t float64) {
 }
 
 // OneHotOuterLerp implements Kernels.
-func (*Naive[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64) {
-	oneHotOuterLerpRange(cij, idx, act, t, 0, cij.Rows)
+func (*Naive[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T],
+	t float64, bi *tensor.BlockIndex) {
+	oneHotOuterLerpRange(cij, idx, act, t, bi, 0, cij.Rows)
 }
 
 // oneHotOuterLerpRange applies the decay+accumulate to cij rows [r0,r1).
 // Restricting to a row band lets the parallel backend shard without locks.
-func oneHotOuterLerpRange[T tensor.Float](cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64, r0, r1 int) {
+// nil bi walks whole rows; otherwise each active (fi,h) block is decayed and
+// accumulated one M-wide segment at a time and silent blocks stay frozen.
+// Every backend routes through this one helper, so the segmentation — which
+// fixes the lanes the FMA microkernel covers — and therefore the result is
+// bit-identical across backends and worker counts.
+func oneHotOuterLerpRange[T tensor.Float](cij *tensor.Dense[T], idx [][]int32,
+	act *tensor.Dense[T], t float64, bi *tensor.BlockIndex, r0, r1 int) {
 	if len(idx) != act.Rows {
 		panic("backend: OneHotOuterLerp batch mismatch")
 	}
 	if cij.Cols != act.Cols {
 		panic("backend: OneHotOuterLerp width mismatch")
 	}
+	if bi != nil && (bi.Fi*bi.Mi != cij.Rows || bi.H*bi.M != cij.Cols) {
+		panic("backend: OneHotOuterLerp block-index geometry mismatch")
+	}
 	if len(idx) == 0 {
 		return
 	}
-	tensor.Scale(1-T(t), cij.Data[r0*cij.Cols:r1*cij.Cols])
-	inc := T(t) / T(len(idx))
+	omt, inc := 1-T(t), T(t)/T(len(idx))
+	if bi == nil {
+		tensor.Scale(omt, cij.Data[r0*cij.Cols:r1*cij.Cols])
+		for s, active := range idx {
+			arow := act.Row(s)
+			for _, i := range active {
+				if ii := int(i); ii >= r0 && ii < r1 {
+					tensor.Axpy(inc, arow, cij.Row(ii))
+				}
+			}
+		}
+		return
+	}
+	m := bi.M
+	for i := r0; i < r1; i++ {
+		row := cij.Row(i)
+		for _, h := range bi.Active(i / bi.Mi) {
+			o := int(h) * m
+			tensor.Scale(omt, row[o:o+m])
+		}
+	}
 	for s, active := range idx {
 		arow := act.Row(s)
-		for _, i := range active {
-			ii := int(i)
+		for _, in := range active {
+			ii := int(in)
 			if ii < r0 || ii >= r1 {
 				continue
 			}
-			tensor.Axpy(inc, arow, cij.Row(ii))
+			row := cij.Row(ii)
+			for _, h := range bi.Active(ii / bi.Mi) {
+				o := int(h) * m
+				tensor.Axpy(inc, arow[o:o+m], row[o:o+m])
+			}
 		}
 	}
 }
@@ -147,25 +181,26 @@ func logT[T tensor.Float](x T) T {
 
 // UpdateWeights implements Kernels.
 func (*Naive[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	mask []bool, fi, mi, h, m int, eps float64) {
-	updateWeightsRange(w, ci, cj, cij, mask, fi, mi, h, m, eps, 0, w.Rows)
+	bi *tensor.BlockIndex, eps float64) {
+	updateWeightsRange(w, ci, cj, cij, bi, eps, 0, w.Rows)
 }
 
-// updateWeightsRange recomputes w rows [r0,r1) from the traces.
+// updateWeightsRange recomputes w rows [r0,r1) from the traces: every
+// element for nil bi, otherwise only the active blocks (silent blocks are not
+// written; the caller keeps them at zero).
 //
 // Row i of w corresponds to input unit i, living in input hypercolumn
-// i/mi. Column j corresponds to hidden unit j in hypercolumn j/m. The mask,
-// when present, gates (input hypercolumn × hidden hypercolumn) blocks.
+// i/Mi. Column j corresponds to hidden unit j in hypercolumn j/M.
 func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	mask []bool, fi, mi, h, m int, eps float64, r0, r1 int) {
+	bi *tensor.BlockIndex, eps float64, r0, r1 int) {
 	if w.Rows != cij.Rows || w.Cols != cij.Cols {
 		panic("backend: UpdateWeights shape mismatch")
 	}
 	if len(ci) != w.Rows || len(cj) != w.Cols {
 		panic("backend: UpdateWeights trace length mismatch")
 	}
-	if mask != nil && (len(mask) != fi*h || fi*mi != w.Rows || h*m != w.Cols) {
-		panic("backend: UpdateWeights mask geometry mismatch")
+	if bi != nil && (bi.Fi*bi.Mi != w.Rows || bi.H*bi.M != w.Cols) {
+		panic("backend: UpdateWeights block-index geometry mismatch")
 	}
 	epsT := T(eps)
 	eps2 := epsT * epsT
@@ -176,137 +211,29 @@ func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, cj []T, cij *ten
 	}
 	for i := r0; i < r1; i++ {
 		logci := logT(max(ci[i], epsT))
-		crow := cij.Row(i)
-		wrow := w.Row(i)
-		var maskRow []bool
-		if mask != nil {
-			maskRow = mask[(i/mi)*h : (i/mi)*h+h]
+		crow, wrow := cij.Row(i), w.Row(i)
+		if bi == nil {
+			logOdds(wrow, crow, logcj, logci, eps2)
+			continue
 		}
-		for j := range wrow {
-			if maskRow != nil && !maskRow[j/m] {
-				wrow[j] = 0
-				continue
-			}
-			wrow[j] = logT(max(crow[j], eps2)) - logci - logcj[j]
+		for _, h := range bi.Active(i / bi.Mi) {
+			o, e := int(h)*bi.M, (int(h)+1)*bi.M
+			logOdds(wrow[o:e], crow[o:e], logcj[o:e], logci, eps2)
 		}
+	}
+}
+
+// logOdds writes w[j] = log(max(c[j],eps²)) − log ci − log cj[j] over one
+// weight row or block segment.
+func logOdds[T tensor.Float](wrow, crow, logcj []T, logci, eps2 T) {
+	for j := range wrow {
+		wrow[j] = logT(max(crow[j], eps2)) - logci - logcj[j]
 	}
 }
 
 // UpdateBias implements Kernels.
 func (*Naive[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 	updateBias(bias, kbi, cj, eps)
-}
-
-// OneHotMatMulSparse implements Kernels.
-func (*Naive[T]) OneHotMatMulSparse(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
-	bi *tensor.BlockIndex) {
-	tensor.OneHotMatMulSparse(dst, idx, w, bi)
-}
-
-// OneHotOuterLerpSparse implements Kernels.
-func (*Naive[T]) OneHotOuterLerpSparse(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T],
-	t float64, bi *tensor.BlockIndex) {
-	oneHotOuterLerpSparseRange(cij, idx, act, t, bi, 0, cij.Rows)
-}
-
-// oneHotOuterLerpSparseRange is the block-sparse trace update over cij rows
-// [r0,r1): active (fi,h) blocks are decayed and accumulated exactly as the
-// dense kernel would, silent blocks are left frozen. Every backend routes
-// through this one helper with identical M-length segments, so the results
-// are bit-identical across backends and worker counts (the segment boundary
-// fixes which lanes the FMA microkernel covers; sharing the segmentation
-// shares the rounding).
-func oneHotOuterLerpSparseRange[T tensor.Float](cij *tensor.Dense[T], idx [][]int32,
-	act *tensor.Dense[T], t float64, bi *tensor.BlockIndex, r0, r1 int) {
-	if len(idx) != act.Rows {
-		panic("backend: OneHotOuterLerpSparse batch mismatch")
-	}
-	if cij.Cols != act.Cols {
-		panic("backend: OneHotOuterLerpSparse width mismatch")
-	}
-	if bi == nil || bi.Fi*bi.Mi != cij.Rows || bi.H*bi.M != cij.Cols {
-		panic("backend: OneHotOuterLerpSparse block-index geometry mismatch")
-	}
-	if len(idx) == 0 {
-		return
-	}
-	m := bi.M
-	omt := 1 - T(t)
-	for i := r0; i < r1; i++ {
-		active := bi.Active(i / bi.Mi)
-		if len(active) == 0 {
-			continue
-		}
-		row := cij.Row(i)
-		for _, h := range active {
-			o := int(h) * m
-			tensor.Scale(omt, row[o:o+m])
-		}
-	}
-	inc := T(t) / T(len(idx))
-	for s, ins := range idx {
-		arow := act.Row(s)
-		for _, in := range ins {
-			ii := int(in)
-			if ii < r0 || ii >= r1 {
-				continue
-			}
-			active := bi.Active(ii / bi.Mi)
-			if len(active) == 0 {
-				continue
-			}
-			row := cij.Row(ii)
-			for _, h := range active {
-				o := int(h) * m
-				tensor.Axpy(inc, arow[o:o+m], row[o:o+m])
-			}
-		}
-	}
-}
-
-// UpdateWeightsSparse implements Kernels.
-func (*Naive[T]) UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64) {
-	updateWeightsSparseRange(w, ci, cj, cij, bi, eps, 0, w.Rows)
-}
-
-// updateWeightsSparseRange recomputes the active blocks of w rows [r0,r1)
-// from the traces, element-for-element the formula of updateWeightsRange.
-// Silent blocks are not written: the caller guarantees they already hold
-// zeros (full masked refresh on every mask change).
-func updateWeightsSparseRange[T tensor.Float](w *tensor.Dense[T], ci, cj []T,
-	cij *tensor.Dense[T], bi *tensor.BlockIndex, eps float64, r0, r1 int) {
-	if w.Rows != cij.Rows || w.Cols != cij.Cols {
-		panic("backend: UpdateWeightsSparse shape mismatch")
-	}
-	if len(ci) != w.Rows || len(cj) != w.Cols {
-		panic("backend: UpdateWeightsSparse trace length mismatch")
-	}
-	if bi == nil || bi.Fi*bi.Mi != w.Rows || bi.H*bi.M != w.Cols {
-		panic("backend: UpdateWeightsSparse block-index geometry mismatch")
-	}
-	epsT := T(eps)
-	eps2 := epsT * epsT
-	m := bi.M
-	logcj := make([]T, len(cj))
-	for j, v := range cj {
-		logcj[j] = logT(max(v, epsT))
-	}
-	for i := r0; i < r1; i++ {
-		active := bi.Active(i / bi.Mi)
-		if len(active) == 0 {
-			continue
-		}
-		logci := logT(max(ci[i], epsT))
-		crow := cij.Row(i)
-		wrow := w.Row(i)
-		for _, h := range active {
-			o := int(h) * m
-			for j := o; j < o+m; j++ {
-				wrow[j] = logT(max(crow[j], eps2)) - logci - logcj[j]
-			}
-		}
-	}
 }
 
 func updateBias[T tensor.Float](bias, kbi, cj []T, eps float64) {

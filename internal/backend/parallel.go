@@ -87,8 +87,9 @@ func (p *Parallel[T]) MatMulATB(dst, a, b *tensor.Dense[T]) {
 }
 
 // OneHotMatMul implements Kernels.
-func (p *Parallel[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T]) {
-	tensor.OneHotMatMulParallel(dst, idx, w, p.workers)
+func (p *Parallel[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
+	bi *tensor.BlockIndex) {
+	tensor.OneHotMatMulParallel(dst, idx, w, bi, p.workers)
 }
 
 // AddBias implements Kernels. The serial case skips parallelFor entirely:
@@ -128,13 +129,16 @@ func (p *Parallel[T]) OneHotMeanLerp(ci []T, idx [][]int32, t float64) {
 
 // OneHotOuterLerp implements Kernels. The Cij trace is the largest state in
 // the model (inputs × hidden units); it is sharded by trace row band so each
-// worker owns a disjoint slice and no locking is needed.
-func (p *Parallel[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64) {
+// worker owns a disjoint slice and no locking is needed. Bands are
+// row-aligned, so every worker applies the shared range helper to whole rows
+// and the result is bit-identical at any worker count.
+func (p *Parallel[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T],
+	t float64, bi *tensor.BlockIndex) {
 	if len(idx) == 0 {
 		return
 	}
 	p.parallelFor(cij.Rows, func(lo, hi int) {
-		oneHotOuterLerpRange(cij, idx, act, t, lo, hi)
+		oneHotOuterLerpRange(cij, idx, act, t, bi, lo, hi)
 	})
 }
 
@@ -147,41 +151,13 @@ func (p *Parallel[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t f
 
 // UpdateWeights implements Kernels.
 func (p *Parallel[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	mask []bool, fi, mi, h, m int, eps float64) {
+	bi *tensor.BlockIndex, eps float64) {
 	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsRange(w, ci, cj, cij, mask, fi, mi, h, m, eps, lo, hi)
+		updateWeightsRange(w, ci, cj, cij, bi, eps, lo, hi)
 	})
 }
 
 // UpdateBias implements Kernels.
 func (p *Parallel[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 	updateBias(bias, kbi, cj, eps)
-}
-
-// OneHotMatMulSparse implements Kernels.
-func (p *Parallel[T]) OneHotMatMulSparse(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
-	bi *tensor.BlockIndex) {
-	tensor.OneHotMatMulSparseParallel(dst, idx, w, bi, p.workers)
-}
-
-// OneHotOuterLerpSparse implements Kernels. Sharded by trace row band like
-// the dense kernel; the band split is row-aligned so every worker applies the
-// shared sparse range helper to whole rows and the result is bit-identical at
-// any worker count.
-func (p *Parallel[T]) OneHotOuterLerpSparse(cij *tensor.Dense[T], idx [][]int32,
-	act *tensor.Dense[T], t float64, bi *tensor.BlockIndex) {
-	if len(idx) == 0 {
-		return
-	}
-	p.parallelFor(cij.Rows, func(lo, hi int) {
-		oneHotOuterLerpSparseRange(cij, idx, act, t, bi, lo, hi)
-	})
-}
-
-// UpdateWeightsSparse implements Kernels.
-func (p *Parallel[T]) UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64) {
-	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsSparseRange(w, ci, cj, cij, bi, eps, lo, hi)
-	})
 }

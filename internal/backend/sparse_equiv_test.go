@@ -85,6 +85,10 @@ func TestSparseEquivalenceF64(t *testing.T) {
 			Geom: backendtest.Geometry{Fi: 6, Mi: 4, H: 4, M: 5},
 			K:    3, Batch: 7, Steps: 6, SwapEvery: 2, Seed: 3,
 			DenseTol: 1e-12, CrossTol: 0}},
+		{"odd-m-tails", backendtest.Config{ // M = 37: block tails on the scalar kernel
+			Geom: backendtest.Geometry{Fi: 6, Mi: 4, H: 3, M: 37},
+			K:    3, Batch: 7, Steps: 6, SwapEvery: 2, Seed: 13,
+			DenseTol: 1e-12, CrossTol: 0}},
 		{"dense-mask", backendtest.Config{ // K = Fi: every block active
 			Geom: backendtest.Geometry{Fi: 5, Mi: 4, H: 2, M: 16},
 			K:    5, Batch: 4, Steps: 4, SwapEvery: 0, Seed: 9,
@@ -138,5 +142,5 @@ func TestSparseKernelGeometryChecks(t *testing.T) {
 	bi := tensor.NewBlockIndex(mask, 4, 2, 2, 3) // tiles 8×6
 	w := tensor.NewDense[float64](8, 6)
 	dst := tensor.NewDense[float64](2, 10) // wrong width for the index
-	be.OneHotMatMulSparse(dst, [][]int32{{0}, {2}}, w, bi)
+	be.OneHotMatMul(dst, [][]int32{{0}, {2}}, w, bi)
 }

@@ -87,7 +87,7 @@ func (c *Classifier) Classes() int { return c.classes }
 
 func (c *Classifier) refresh() {
 	// The readout is fully connected: no mask.
-	c.be.UpdateWeights(c.W, c.Ci, c.Cj, c.Cij, nil, 0, 0, 0, 0, c.p.Eps)
+	c.be.UpdateWeights(c.W, c.Ci, c.Cj, c.Cij, nil, c.p.Eps)
 	c.be.UpdateBias(c.Bias, c.Kbi, c.Cj, c.p.Eps)
 }
 

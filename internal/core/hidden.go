@@ -36,7 +36,7 @@ type HiddenLayer struct {
 	H, M int
 
 	// Derived parameters.
-	W    *tensor.Matrix // (Fi·Mi)×(H·M) log-odds weights, mask applied
+	W    *tensor.Matrix // (Fi·Mi)×(H·M) log-odds weights; silent blocks are +0
 	Bias []float64      // H·M
 	Kbi  []float64      // homeostatic bias gain per unit
 
@@ -59,15 +59,15 @@ type HiddenLayer struct {
 	Mask []bool
 	K    int
 
-	// sparse selects the block-sparse compute regime (DESIGN.md §15):
-	// forward gathers, joint-trace updates and weight re-derivation walk the
-	// compressed block index instead of the dense buffers. Silent Cij blocks
-	// are then frozen (dense mode keeps decaying them), and silent W blocks
-	// hold exact zeros — an invariant re-established by the full masked
-	// refreshParameters run on every mask change.
+	// sparse selects the block-sparse compute regime (DESIGN.md §15). Both
+	// regimes gather, re-derive and recast W through the mask's block index;
+	// the only difference is the index the joint-trace update receives (see
+	// traceBlocks): silent Cij blocks keep decaying in dense mode and are
+	// frozen in sparse mode.
 	sparse bool
-	// blocks is the compressed block index over Mask, rebuilt lazily by
-	// Blocks(); nil means stale (every mask mutation resets it).
+	// blocks is the compressed block index over Mask, rebuilt by
+	// maskChanged on every mask mutation. Silent W (and w32) blocks hold
+	// exact zeros, written once per rebuild; no kernel writes them.
 	blocks *tensor.BlockIndex
 
 	// lastSwaps records the most recent structural update for observers.
@@ -161,7 +161,7 @@ func NewHiddenLayer(be backend.Backend, fi, mi int, p Params, rng *rand.Rand) *H
 	}
 	l.K = receptiveK(p.ReceptiveField, fi)
 	l.initMask()
-	l.refreshParameters()
+	l.maskChanged()
 	return l
 }
 
@@ -232,18 +232,33 @@ func (l *HiddenLayer) initMask() {
 func (l *HiddenLayer) SparseCompute() bool { return l.sparse }
 
 // Blocks returns the compressed block index over the current receptive-field
-// mask, rebuilding it if a mask mutation invalidated the cached one. The
-// rebuild is O(Fi·H) — cheap next to a batch — and happens only on swap, so
-// steady-state training reuses one index.
-func (l *HiddenLayer) Blocks() *tensor.BlockIndex {
-	if l.blocks == nil {
-		l.blocks = tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)
+// mask. It is rebuilt only on a mask change, so steady-state training reuses
+// one index and Forward stays read-only — the invariant concurrent serving
+// (Bundle.Predict) relies on.
+func (l *HiddenLayer) Blocks() *tensor.BlockIndex { return l.blocks }
+
+// traceBlocks is the index the joint-trace update walks, and the one place
+// the two compute regimes differ: nil in dense mode (silent Cij keep
+// decaying, so structural plasticity can score them), the mask's index in
+// sparse mode (silent Cij frozen).
+func (l *HiddenLayer) traceBlocks() *tensor.BlockIndex {
+	if l.sparse {
+		return l.blocks
 	}
-	return l.blocks
+	return nil
 }
 
-// invalidateBlocks drops the cached block index after a mask mutation.
-func (l *HiddenLayer) invalidateBlocks() { l.blocks = nil }
+// maskChanged rebuilds the block index after a mask mutation, zeroes the
+// silent W/w32 blocks of the new index once, and re-derives the active ones.
+// Every mask mutation funnels through here.
+func (l *HiddenLayer) maskChanged() {
+	l.blocks = tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)
+	tensor.ZeroSilent(l.W, l.blocks)
+	if l.w32 != nil {
+		tensor.ZeroSilent(l.w32, l.blocks)
+	}
+	l.refreshParameters()
+}
 
 // Units returns the total number of hidden units (H·M).
 func (l *HiddenLayer) Units() int { return l.H * l.M }
@@ -251,23 +266,17 @@ func (l *HiddenLayer) Units() int { return l.H * l.M }
 // Inputs returns the total number of input units (Fi·Mi).
 func (l *HiddenLayer) Inputs() int { return l.Fi * l.Mi }
 
-// refreshParameters recomputes W and Bias from the traces. On the composed
-// training path it runs after every trace update; on the fused path
-// (DESIGN.md §14) LayerStep produces W and Bias in-pass and this is needed
-// only where parameters must be re-derived without advancing the traces —
-// construction, trace re-seeding, and mask changes (structural plasticity).
-// On the float32 path the down-cast images go stale and are rebuilt lazily
-// by sync32.
+// refreshParameters recomputes the active blocks of W, and Bias, from the
+// traces. On the composed training path it runs after every trace update; on
+// the fused path (DESIGN.md §14) LayerStep produces W and Bias in-pass and
+// this is needed only where parameters must be re-derived without advancing
+// the traces — construction, trace re-seeding, trace merges and mask
+// changes. On the float32 path the down-cast images go stale and are rebuilt
+// lazily by sync32.
 func (l *HiddenLayer) refreshParameters() {
-	l.be.UpdateWeights(l.W, l.Ci, l.Cj, l.Cij, l.Mask, l.Fi, l.Mi, l.H, l.M, l.p.Eps)
+	l.be.UpdateWeights(l.W, l.Ci, l.Cj, l.Cij, l.blocks, l.p.Eps)
 	l.be.UpdateBias(l.Bias, l.Kbi, l.Cj, l.p.Eps)
 	l.w32stale = true
-	if l.sparse && l.blocks == nil {
-		// Rebuild the block index eagerly: every mask mutation funnels through
-		// a masked refresh, so a warm index here keeps Forward read-only — the
-		// invariant concurrent serving (Bundle.Predict) relies on.
-		l.blocks = tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)
-	}
 }
 
 // Precision32 reports whether this layer runs forward passes on the float32
@@ -282,7 +291,7 @@ func (l *HiddenLayer) sync32() {
 	if !l.w32stale {
 		return
 	}
-	tensor.CastInto(l.w32, l.W)
+	tensor.CastInto(l.w32, l.W, l.blocks)
 	tensor.CastSlice(l.bias32, l.Bias)
 	l.w32stale = false
 	if ch, ok := l.be32.(interface{ ChargeUpload(...[]float32) }); ok {
@@ -291,29 +300,11 @@ func (l *HiddenLayer) sync32() {
 }
 
 // Forward computes the hidden activation of a one-hot batch into out
-// (batch × H·M): masked support plus bias, then per-HCU softmax. Forward is
-// deterministic; the training-only support noise lives in forwardNoisy.
-// On the float32 path the support, bias add and softmax run on the float32
-// kernel set and only the finished activations are up-cast.
-func (l *HiddenLayer) Forward(idx [][]int32, out *tensor.Matrix) {
-	if out.Rows != len(idx) || out.Cols != l.Units() {
-		panic("core: Forward output shape mismatch")
-	}
-	if l.be32 != nil {
-		act32 := l.pool32.Get(len(idx), l.Units())
-		l.Forward32(idx, act32)
-		tensor.CastInto(out, act32)
-		l.pool32.Put(act32)
-		return
-	}
-	if l.sparse {
-		l.be.OneHotMatMulSparse(out, idx, l.W, l.Blocks())
-	} else {
-		l.be.OneHotMatMul(out, idx, l.W)
-	}
-	l.be.AddBias(out, l.Bias)
-	l.be.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
-}
+// (batch × H·M): support gathered through the mask's block index plus bias,
+// then per-HCU softmax. Forward is deterministic; only training adds support
+// noise. On the float32 path the support, bias add and softmax run on the
+// float32 kernel set and only the finished activations are up-cast.
+func (l *HiddenLayer) Forward(idx [][]int32, out *tensor.Matrix) { l.forward(idx, out, false) }
 
 // Forward32 is the reduced-precision forward pass, writing float32
 // activations directly (no up-cast). It panics unless the layer was built
@@ -326,53 +317,38 @@ func (l *HiddenLayer) Forward32(idx [][]int32, out *tensor.Matrix32) {
 		panic("core: Forward32 output shape mismatch")
 	}
 	l.sync32()
-	if l.sparse {
-		l.be32.OneHotMatMulSparse(out, idx, l.w32, l.Blocks())
-	} else {
-		l.be32.OneHotMatMul(out, idx, l.w32)
-	}
-	l.be32.AddBias(out, l.bias32)
-	l.be32.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
+	forwardOn(l, l.be32, l.w32, l.bias32, idx, out, false)
 }
 
-// forwardNoisy is Forward plus the annealed symmetry-breaking support noise.
-// The float32 path injects the noise at float32 before its softmax, keeping
-// the whole support computation at reduced precision.
-func (l *HiddenLayer) forwardNoisy(idx [][]int32, out *tensor.Matrix) {
+// forward is Forward, plus the annealed symmetry-breaking support noise when
+// noisy. The float32 path injects the noise at float32 before its softmax,
+// keeping the whole support computation at reduced precision.
+func (l *HiddenLayer) forward(idx [][]int32, out *tensor.Matrix, noisy bool) {
 	if out.Rows != len(idx) || out.Cols != l.Units() {
-		panic("core: forwardNoisy output shape mismatch")
+		panic("core: Forward output shape mismatch")
 	}
-	if l.be32 != nil {
-		act32 := l.pool32.Get(len(idx), l.Units())
-		l.sync32()
-		if l.sparse {
-			l.be32.OneHotMatMulSparse(act32, idx, l.w32, l.Blocks())
-		} else {
-			l.be32.OneHotMatMul(act32, idx, l.w32)
-		}
-		l.be32.AddBias(act32, l.bias32)
-		if l.noiseStd > 0 {
-			for i := range act32.Data {
-				act32.Data[i] += float32(l.noiseStd * l.rng.NormFloat64())
-			}
-		}
-		l.be32.SoftmaxGroups(act32, l.H, l.M, l.p.Temperature)
-		tensor.CastInto(out, act32)
-		l.pool32.Put(act32)
+	if l.be32 == nil {
+		forwardOn(l, l.be, l.W, l.Bias, idx, out, noisy)
 		return
 	}
-	if l.sparse {
-		l.be.OneHotMatMulSparse(out, idx, l.W, l.Blocks())
-	} else {
-		l.be.OneHotMatMul(out, idx, l.W)
-	}
-	l.be.AddBias(out, l.Bias)
-	if l.noiseStd > 0 {
+	act32 := l.pool32.Get(len(idx), l.Units())
+	l.sync32()
+	forwardOn(l, l.be32, l.w32, l.bias32, idx, act32, noisy)
+	tensor.CastInto(out, act32, nil)
+	l.pool32.Put(act32)
+}
+
+// forwardOn is the one forward implementation, at either precision.
+func forwardOn[T tensor.Float](l *HiddenLayer, be backend.Kernels[T], w *tensor.Dense[T],
+	bias []T, idx [][]int32, out *tensor.Dense[T], noisy bool) {
+	be.OneHotMatMul(out, idx, w, l.blocks)
+	be.AddBias(out, bias)
+	if noisy && l.noiseStd > 0 {
 		for i := range out.Data {
-			out.Data[i] += l.noiseStd * l.rng.NormFloat64()
+			out.Data[i] += T(l.noiseStd * l.rng.NormFloat64())
 		}
 	}
-	l.be.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
+	be.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
 }
 
 // SetNoise sets the support-noise standard deviation used by TrainBatch.
@@ -406,24 +382,12 @@ func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 		l.fusedLayerStep(idx, act)
 		return l.noiseStd == 0
 	}
-	l.forwardNoisy(idx, act)
+	l.forward(idx, act, true)
 	t := l.p.Taupdt
 	l.be.OneHotMeanLerp(l.Ci, idx, t)
 	tensor.ColMeans(l.meanAct, act)
 	l.be.Lerp(l.Cj, l.meanAct, t)
-	if l.sparse {
-		// Block-sparse step: only active Cij blocks decay/accumulate and
-		// only active W panels are re-derived. Silent W panels keep the
-		// exact zeros the last masked refresh wrote.
-		bi := l.Blocks()
-		l.be.OneHotOuterLerpSparse(l.Cij, idx, act, t, bi)
-		l.homeostasis()
-		l.be.UpdateWeightsSparse(l.W, l.Ci, l.Cj, l.Cij, bi, l.p.Eps)
-		l.be.UpdateBias(l.Bias, l.Kbi, l.Cj, l.p.Eps)
-		l.w32stale = true
-		return false
-	}
-	l.be.OneHotOuterLerp(l.Cij, idx, act, t)
+	l.be.OneHotOuterLerp(l.Cij, idx, act, t, l.traceBlocks())
 	l.homeostasis()
 	l.refreshParameters()
 	return false
@@ -435,8 +399,8 @@ func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 // eager recast it would schedule — collapse to marking the images stale;
 // sync32 still rebuilds them lazily before the next reduced-precision
 // forward. Support noise is pre-drawn row-major from the layer RNG, exactly
-// the order forwardNoisy consumes it, so training stays deterministic and
-// backend-independent.
+// the order the composed noisy forward consumes it, so training stays
+// deterministic and backend-independent.
 func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 	var noise []float64
 	if l.noiseStd > 0 {
@@ -449,12 +413,7 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 			noise[i] = l.noiseStd * l.rng.NormFloat64()
 		}
 	}
-	var bi *tensor.BlockIndex
-	if l.sparse {
-		bi = l.Blocks()
-	}
-	l.step.LayerStep(idx, act, l.Ci, l.Cj, l.Cij, l.W, l.Bias, l.Mask,
-		backend.LayerGeom{Fi: l.Fi, Mi: l.Mi, H: l.H, M: l.M},
+	l.step.LayerStep(idx, act, l.Ci, l.Cj, l.Cij, l.W, l.Bias,
 		backend.LayerHyper[float64]{
 			Taupdt:       l.p.Taupdt,
 			Taubdt:       l.p.Taubdt,
@@ -463,7 +422,8 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 			Eps:          l.p.Eps,
 			Kbi:          l.Kbi,
 			Noise:        noise,
-			Blocks:       bi,
+			Blocks:       l.blocks,
+			Trace:        l.traceBlocks(),
 		})
 	l.w32stale = true
 }

@@ -92,8 +92,7 @@ func (l *HiddenLayer) StructuralUpdate() []SwapRecord {
 		}
 	}
 	if len(swaps) > 0 {
-		l.invalidateBlocks()
-		l.refreshParameters()
+		l.maskChanged()
 	}
 	l.lastSwaps = swaps
 	return swaps
@@ -178,8 +177,7 @@ func (l *HiddenLayer) PruneRegrow(targetK, regrow int) []SwapRecord {
 		}
 	}
 	l.K = targetK
-	l.invalidateBlocks()
-	l.refreshParameters()
+	l.maskChanged()
 	l.lastSwaps = swaps
 	return swaps
 }
@@ -220,8 +218,7 @@ func (l *HiddenLayer) SetReceptiveField(h int, field []bool) {
 	for fi, on := range field {
 		l.Mask[fi*l.H+h] = on
 	}
-	l.invalidateBlocks()
-	l.refreshParameters()
+	l.maskChanged()
 }
 
 // TopInputs returns the input hypercolumns of HCU h ranked by descending

@@ -128,7 +128,7 @@ func Load(r io.Reader, be backend.Backend) (*Network, error) {
 	copy(n.Hidden.Mask, st.Mask)
 	// The prune/regrow schedule drives K away from round(RF·Fi), so restore
 	// it from the mask itself (the exactly-K-per-HCU invariant makes column
-	// h=0 representative), and drop any block index built over the init mask.
+	// h=0 representative), and rebuild the block index over the loaded mask.
 	k := 0
 	for fi := 0; fi < st.Fi; fi++ {
 		if st.Mask[fi*st.Params.HCUs] {
@@ -136,8 +136,7 @@ func Load(r io.Reader, be backend.Backend) (*Network, error) {
 		}
 	}
 	n.Hidden.K = k
-	n.Hidden.invalidateBlocks()
-	n.Hidden.refreshParameters()
+	n.Hidden.maskChanged()
 	switch st.ReadoutKind {
 	case "", readoutBCPNN:
 		if len(st.ClfCi) != units || len(st.ClfCj) != st.Classes ||

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"streambrain/internal/backend"
+	"streambrain/internal/tensor"
 )
 
 func sparseParams() Params {
@@ -207,5 +210,98 @@ func TestSparseParamsValidation(t *testing.T) {
 	p.SparseCompute = false
 	if err := p.Validate(); err != nil {
 		t.Fatalf("dense-compute schedule twin rejected: %v", err)
+	}
+}
+
+// silentNonZero returns the first element of m in a silent block of l's mask
+// that is not +0.
+func silentNonZero[T tensor.Float](l *HiddenLayer, m *tensor.Dense[T]) (r, c int, ok bool) {
+	for r = 0; r < m.Rows; r++ {
+		for c = 0; c < m.Cols; c++ {
+			v := float64(m.At(r, c))
+			if !l.Mask[(r/l.Mi)*l.H+c/l.M] && (v != 0 || math.Signbit(v)) {
+				return r, c, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// checkSilentZeros asserts the invariant the block-indexed kernels rely on
+// (DESIGN.md §15): Blocks() is the index of the current mask, and every
+// silent block of W — and, after a forward pass has recast it, of the
+// float32 image — holds exact +0.
+func checkSilentZeros(t *testing.T, when string, l *HiddenLayer, idx [][]int32) {
+	t.Helper()
+	if !l.Blocks().Equal(tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)) {
+		t.Fatalf("after %s: Blocks() does not match the mask", when)
+	}
+	l.Forward(idx, tensor.NewMatrix(len(idx), l.Units()))
+	if r, c, bad := silentNonZero(l, l.W); bad {
+		t.Fatalf("after %s: silent W(%d,%d) = %v, want +0", when, r, c, l.W.At(r, c))
+	}
+	if l.w32 != nil {
+		if r, c, bad := silentNonZero(l, l.w32); bad {
+			t.Fatalf("after %s: silent w32(%d,%d) = %v, want +0", when, r, c, l.w32.At(r, c))
+		}
+	}
+}
+
+// TestSilentBlocksStayZero checks the silent-zero invariant after every
+// operation that builds or changes the receptive field, and after training
+// steps and trace merges that must not disturb it: on the composed
+// (parallel) and fused backends, in both compute regimes, at both
+// precisions.
+func TestSilentBlocksStayZero(t *testing.T) {
+	const fi, mi = 8, 4
+	train := synthEncoded(rand.New(rand.NewSource(61)), 256, fi, mi, []int{1, 5}, 0.1)
+	probe := train.Idx[:4]
+	for _, name := range []string{"parallel", "fused"} {
+		for _, sparse := range []bool{false, true} {
+			for _, prec := range []Precision{Float64, Float32} {
+				t.Run(fmt.Sprintf("%s/sparse=%v/%s", name, sparse, prec), func(t *testing.T) {
+					p := smallParams()
+					p.SparseCompute = sparse
+					p.Precision = prec
+					p.SwapMargin = 0
+					p.UnsupervisedEpochs, p.SupervisedEpochs = 1, 1
+					n := NewNetwork(backend.MustNew(name, 2), fi, mi, 2, p)
+					l := n.Hidden
+					checkSilentZeros(t, "construction", l, probe)
+					l.SetNoise(0.3)
+					for b := 0; b+32 <= train.Len(); b += 32 {
+						l.TrainBatch(train.Idx[b : b+32])
+					}
+					checkSilentZeros(t, "TrainBatch", l, probe)
+					if len(l.StructuralUpdate()) == 0 {
+						t.Fatal("StructuralUpdate made no swap; the check would not cover it")
+					}
+					checkSilentZeros(t, "StructuralUpdate", l, probe)
+					l.PruneRegrow(l.K-1, 1)
+					checkSilentZeros(t, "PruneRegrow", l, probe)
+					field := l.ReceptiveField(0)
+					l.SetReceptiveField(0, append(field[1:], field[0]))
+					checkSilentZeros(t, "SetReceptiveField", l, probe)
+
+					var buf bytes.Buffer
+					if err := n.Save(&buf); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := Load(&buf, backend.MustNew(name, 2))
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkSilentZeros(t, "Load", loaded.Hidden, probe)
+
+					dt := NewDistributedTrainer(2, name, 1, fi, mi, 2, p, train)
+					if _, err := dt.Train(1, 0); err != nil {
+						t.Fatal(err)
+					}
+					for r, rn := range dt.Networks() {
+						checkSilentZeros(t, fmt.Sprintf("TrainRank merge (rank %d)", r), rn.Hidden, probe)
+					}
+				})
+			}
+		}
 	}
 }

@@ -245,7 +245,7 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 				idx[s] = append(idx[s], int32(g*traceWidth+rng.Intn(traceWidth)))
 			}
 		}
-		return func() { be.OneHotOuterLerp(cij, idx, act, 0.01) }, nil
+		return func() { be.OneHotOuterLerp(cij, idx, act, 0.01, nil) }, nil
 	case "trainstep":
 		rng := rand.New(rand.NewSource(3))
 		mcus := sc.MCUs
@@ -278,73 +278,65 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		}
 		act := tensor.NewDense[T](trainstepBatch, units)
 		const t = 0.012
-		// Structural-sparsity fixture (DESIGN.md §15): a receptive-field mask
+		// Structural-sparsity fixture (DESIGN.md §15): a receptive-field index
 		// silencing Sparsity of the input hypercolumns, the state the
-		// prune/regrow schedule leaves behind. The dense twin still computes
-		// every block against this mask (masked UpdateWeights re-zeroes the
-		// silent panels, exactly what the dense training regime pays); the
-		// sparse twin walks the compressed block index and skips them.
-		mask, bi := trainstepMask(sc, rng, units)
+		// prune/regrow schedule leaves behind. The sparse twin walks it in
+		// the gather, the trace update and the weight refresh. The composed
+		// dense twin computes every block — whole-row gather and trace
+		// update — and re-zeroes the silent weight panels after each refresh,
+		// so the pair's ratio measures everything the block index can skip.
+		// Without a fixture the refresh covers every block, keeping legacy
+		// baseline scenarios bit-identical.
+		bi := trainstepBlocks(sc, rng, units)
+		gather, trace := bi, bi
+		if !sc.Sparse {
+			gather, trace = nil, nil
+		}
 		if st, ok := be.(backend.LayerStepper[T]); ok {
 			// A whole-layer offload backend (DESIGN.md §14) runs the identical
 			// update as one fused LayerStep; the fused/parallel throughput
 			// ratio of a scenario pair is the measured fusion speedup
 			// benchgate floors.
-			geom := backend.LayerGeom{Fi: trainstepFi, Mi: trainstepMi, H: 1, M: units}
-			hyper := backend.LayerHyper[T]{Taupdt: t, Temperature: 1, Eps: 1e-9, Kbi: kbi}
-			if sc.Sparse {
-				hyper.Blocks = bi
+			blocks := bi
+			if blocks == nil {
+				blocks = tensor.NewBlockIndex(nil, trainstepFi, trainstepMi, 1, units)
 			}
-			return func() {
-				st.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
-			}, nil
-		}
-		if sc.Sparse {
-			return func() {
-				// Block-sparse step: forward gather, joint-trace update and
-				// weight re-derivation touch only active blocks — the
-				// sequence HiddenLayer.trainBatchInto runs in sparse mode.
-				be.OneHotMatMulSparse(act, idx, w, bi)
-				be.AddBias(act, bias)
-				be.SoftmaxGroups(act, 1, units, 1)
-				be.OneHotMeanLerp(ci, idx, t)
-				tensor.ColMeans(meanAct, act)
-				be.Lerp(cj, meanAct, t)
-				be.OneHotOuterLerpSparse(cij, idx, act, t, bi)
-				be.UpdateWeightsSparse(w, ci, cj, cij, bi, 1e-9)
-				be.UpdateBias(bias, kbi, cj, 1e-9)
-			}, nil
+			hyper := backend.LayerHyper[T]{Taupdt: t, Temperature: 1, Eps: 1e-9, Kbi: kbi,
+				Blocks: blocks, Trace: trace}
+			return func() { st.LayerStep(idx, act, ci, cj, cij, w, bias, hyper) }, nil
 		}
 		return func() {
 			// Forward: support, bias, per-HCU softmax (single hypercolumn).
-			be.OneHotMatMul(act, idx, w)
+			be.OneHotMatMul(act, idx, w, gather)
 			be.AddBias(act, bias)
 			be.SoftmaxGroups(act, 1, units, 1)
 			// Trace updates.
 			be.OneHotMeanLerp(ci, idx, t)
 			tensor.ColMeans(meanAct, act)
 			be.Lerp(cj, meanAct, t)
-			be.OneHotOuterLerp(cij, idx, act, t)
-			// Parameter refresh. Unmasked when no sparsity fixture is
-			// configured, keeping legacy baseline scenarios bit-identical.
-			be.UpdateWeights(w, ci, cj, cij, mask, trainstepFi, trainstepMi, 1, units, 1e-9)
+			be.OneHotOuterLerp(cij, idx, act, t, trace)
+			// Parameter refresh.
+			be.UpdateWeights(w, ci, cj, cij, bi, 1e-9)
+			if !sc.Sparse {
+				tensor.ZeroSilent(w, bi)
+			}
 			be.UpdateBias(bias, kbi, cj, 1e-9)
 		}, nil
 	}
 	return nil, fmt.Errorf("perf: unknown kernel op %q", sc.Op)
 }
 
-// trainstepMask builds the structural-sparsity fixture for a trainstep
-// scenario: an Fi×1 receptive-field mask with K = round((1−Sparsity)·Fi)
-// active input hypercolumns (never below 1) plus its compressed block index.
-// The active set is drawn from the scenario's pinned RNG, whose consumption up
-// to this point is identical for every trainstep scenario — so the dense and
+// trainstepBlocks builds the structural-sparsity fixture for a trainstep
+// scenario: the block index of an Fi×1 receptive-field mask with
+// K = round((1−Sparsity)·Fi) active input hypercolumns (never below 1). The
+// active set is drawn from the scenario's pinned RNG, whose consumption up to
+// this point is identical for every trainstep scenario — so the dense and
 // sparse twins of one sparsity level share the exact same mask, which is what
 // makes their throughput ratio a controlled experiment. Legacy scenarios with
-// no sparsity configured get (nil, nil) and keep their original behavior.
-func trainstepMask(sc Scenario, rng *rand.Rand, units int) ([]bool, *tensor.BlockIndex) {
+// no sparsity configured get nil and keep their original behavior.
+func trainstepBlocks(sc Scenario, rng *rand.Rand, units int) *tensor.BlockIndex {
 	if sc.Sparsity == 0 && !sc.Sparse {
-		return nil, nil
+		return nil
 	}
 	k := int(math.Round((1 - sc.Sparsity) * trainstepFi))
 	if k < 1 {
@@ -354,7 +346,7 @@ func trainstepMask(sc Scenario, rng *rand.Rand, units int) ([]bool, *tensor.Bloc
 	for _, f := range rng.Perm(trainstepFi)[:k] {
 		mask[f] = true
 	}
-	return mask, tensor.NewBlockIndex(mask, trainstepFi, trainstepMi, 1, units)
+	return tensor.NewBlockIndex(mask, trainstepFi, trainstepMi, 1, units)
 }
 
 func (r *Runner) runKernel(sc Scenario) (Result, error) {

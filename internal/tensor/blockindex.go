@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // BlockIndex is the compressed form of a receptive-field mask (DESIGN.md §15):
 // a CSR index over the Fi×H grid of (input hypercolumn, hidden hypercolumn)
@@ -17,7 +14,7 @@ import (
 // instead of testing Fi·H mask bits, and skip the silent panels entirely.
 type BlockIndex struct {
 	// Geometry: Fi input hypercolumns of Mi units each, H hidden HCUs of M
-	// units each — identical to backend.LayerGeom.
+	// units each.
 	Fi, Mi, H, M int
 
 	// rowStart has Fi+1 entries; cols[rowStart[fi]:rowStart[fi+1]] is the
@@ -27,8 +24,8 @@ type BlockIndex struct {
 }
 
 // NewBlockIndex compresses an fi×h row-major boolean mask (the layout of
-// Kernels.UpdateWeights' mask argument) into a block index with the given
-// block shape. A nil mask means fully dense: every block is active.
+// core.HiddenLayer.Mask) into a block index with the given block shape. A nil
+// mask means fully dense: every block is active.
 func NewBlockIndex(mask []bool, fi, mi, h, m int) *BlockIndex {
 	if fi < 1 || mi < 1 || h < 1 || m < 1 {
 		panic(fmt.Sprintf("tensor: BlockIndex bad geometry %d×%d blocks of %d×%d", fi, h, mi, m))
@@ -110,72 +107,32 @@ func (b *BlockIndex) Equal(o *BlockIndex) bool {
 	return true
 }
 
-// checkBlockIndex validates a block index against a matrix it will gate.
+// checkBlockIndex validates a block index against a matrix it will gate;
+// nil (every block) gates any shape.
 func checkBlockIndex[T Float](b *BlockIndex, m *Dense[T]) {
-	if b == nil {
-		panic("tensor: nil BlockIndex")
-	}
-	if b.Fi*b.Mi != m.Rows || b.H*b.M != m.Cols {
+	if b != nil && (b.Fi*b.Mi != m.Rows || b.H*b.M != m.Cols) {
 		panic(fmt.Sprintf("tensor: BlockIndex %d×%d blocks of %d×%d does not tile %d×%d",
 			b.Fi, b.H, b.Mi, b.M, m.Rows, m.Cols))
 	}
 }
 
-// OneHotMatMulSparse is OneHotMatMul restricted to the active blocks of bi:
-// sample s gathers, for each active input unit, only the weight-row segments
-// of the hidden HCUs its input hypercolumn is connected to. Silent segments
-// of W hold exact zeros (the mask invariant UpdateWeights maintains), so the
-// skipped additions are additions of +0 — the sparse support is bit-identical
-// to the dense one while paying only Density() of the gather traffic.
-func OneHotMatMulSparse[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], bi *BlockIndex) {
-	if dst.Rows != len(idx) || dst.Cols != w.Cols {
-		panic(fmt.Sprintf("tensor: OneHotMatMulSparse shape mismatch dst %dx%d, idx %d, w %dx%d",
-			dst.Rows, dst.Cols, len(idx), w.Rows, w.Cols))
-	}
-	checkBlockIndex(bi, w)
-	n, m := w.Cols, bi.M
-	for s, active := range idx {
-		drow := dst.Row(s)
-		for i := range drow {
-			drow[i] = 0
-		}
-		for _, in := range active {
-			wrow := w.Data[int(in)*n : int(in)*n+n]
-			for _, h := range bi.Active(int(in) / bi.Mi) {
-				o := int(h) * m
-				addDispatch(drow[o:o+m], wrow[o:o+m])
-			}
-		}
-	}
-}
-
-// OneHotMatMulSparseParallel parallelizes OneHotMatMulSparse over the batch.
-func OneHotMatMulSparseParallel[T Float](dst *Dense[T], idx [][]int32, w *Dense[T],
-	bi *BlockIndex, workers int) {
-	if workers <= 1 || len(idx) < 4 {
-		OneHotMatMulSparse(dst, idx, w, bi)
+// ZeroSilent sets every element of m outside the active blocks of b to +0 —
+// the invariant the block-indexed kernels rely on to skip silent blocks
+// without changing a bit. Callers run it once per index rebuild, not per
+// batch: no block-indexed kernel writes a silent block. A nil index has no
+// silent block, so it leaves m untouched.
+func ZeroSilent[T Float](m *Dense[T], b *BlockIndex) {
+	if b == nil {
 		return
 	}
-	if dst.Rows != len(idx) || dst.Cols != w.Cols {
-		panic("tensor: OneHotMatMulSparseParallel shape mismatch")
-	}
-	checkBlockIndex(bi, w)
-	var wg sync.WaitGroup
-	rows := len(idx)
-	chunk := (rows + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		r0 := wk * chunk
-		if r0 >= rows {
-			break
+	checkBlockIndex(b, m)
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		o := 0
+		for _, h := range b.Active(r / b.Mi) {
+			clear(row[o : int(h)*b.M])
+			o = (int(h) + 1) * b.M
 		}
-		r1 := min(r0+chunk, rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			sub := &Dense[T]{Rows: r1 - r0, Cols: dst.Cols,
-				Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}
-			OneHotMatMulSparse(sub, idx[r0:r1], w, bi)
-		}(r0, r1)
+		clear(row[o:])
 	}
-	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,14 +103,15 @@ func TestBlockIndexPanics(t *testing.T) {
 	mustPanic("short mask", func() { NewBlockIndex(make([]bool, 3), 2, 3, 2, 3) })
 	mustPanic("non-tiling index", func() {
 		w := NewDense[float64](6, 6)
-		OneHotMatMulSparse(w, make([][]int32, 6), w, NewBlockIndex(nil, 2, 2, 2, 3))
+		OneHotMatMul(w, make([][]int32, 6), w, NewBlockIndex(nil, 2, 2, 2, 3))
 	})
 }
 
 // TestOneHotMatMulSparseMatchesDense checks the frozen-silent contract
 // (DESIGN.md §15) at the tensor level: when silent blocks of W hold exact
-// zeros — the invariant the masked UpdateWeights maintains — the sparse
-// gather is bit-identical to the dense one, serial and parallel.
+// zeros — the invariant ZeroSilent establishes on every index rebuild — the
+// gather through the block index is bit-identical to the nil-index one,
+// serial and parallel.
 func TestOneHotMatMulSparseMatchesDense(t *testing.T) {
 	const fi, mi, h, m, batch = 5, 4, 3, 6, 17
 	rng := rand.New(rand.NewSource(7))
@@ -138,9 +140,9 @@ func TestOneHotMatMulSparseMatchesDense(t *testing.T) {
 		}
 	}
 	want := NewDense[float64](batch, h*m)
-	OneHotMatMul(want, idx, w)
+	OneHotMatMul(want, idx, w, nil)
 	got := NewDense[float64](batch, h*m)
-	OneHotMatMulSparse(got, idx, w, bi)
+	OneHotMatMul(got, idx, w, bi)
 	for i, v := range want.Data {
 		if got.Data[i] != v {
 			t.Fatalf("serial sparse gather diverges at flat index %d: %v != %v", i, got.Data[i], v)
@@ -149,10 +151,59 @@ func TestOneHotMatMulSparseMatchesDense(t *testing.T) {
 	for i := range got.Data {
 		got.Data[i] = -1
 	}
-	OneHotMatMulSparseParallel(got, idx, w, bi, 4)
+	OneHotMatMulParallel(got, idx, w, bi, 4)
 	for i, v := range want.Data {
 		if got.Data[i] != v {
 			t.Fatalf("parallel sparse gather diverges at flat index %d: %v != %v", i, got.Data[i], v)
+		}
+	}
+}
+
+// TestZeroSilentAndBlockCast checks the two block-indexed matrix helpers at
+// H > 1 with an M that is no multiple of any SIMD width: ZeroSilent clears
+// exactly the silent blocks, and a block-indexed float32 recast over a
+// matrix whose silent blocks are zero gives the same bits as the nil-index
+// (whole-matrix) recast, for the full and a partial index alike.
+func TestZeroSilentAndBlockCast(t *testing.T) {
+	const fi, mi, h, m = 4, 3, 3, 37
+	rng := rand.New(rand.NewSource(9))
+	mask := make([]bool, fi*h)
+	for i := range mask {
+		mask[i] = i%3 != 1
+	}
+	partial := NewBlockIndex(mask, fi, mi, h, m)
+	w := NewDense[float64](fi*mi, h*m)
+	for i := range w.Data {
+		w.Data[i] = rng.NormFloat64()
+	}
+	before := w.Clone()
+	ZeroSilent(w, nil) // no silent block
+	ZeroSilent(w, NewBlockIndex(nil, fi, mi, h, m))
+	if d := w.MaxAbsDiff(before); d != 0 {
+		t.Fatalf("ZeroSilent without silent blocks changed the matrix by %g", d)
+	}
+	ZeroSilent(w, partial)
+	for r := 0; r < w.Rows; r++ {
+		for c := 0; c < w.Cols; c++ {
+			want := before.At(r, c)
+			if !mask[(r/mi)*h+c/m] {
+				want = 0
+			}
+			if got := w.At(r, c); got != want || (want == 0 && math.Signbit(got)) {
+				t.Fatalf("ZeroSilent (%d,%d) = %v, want %v", r, c, got, want)
+			}
+		}
+	}
+	want := NewDense[float32](w.Rows, w.Cols)
+	CastInto(want, w, nil)
+	for _, bi := range []*BlockIndex{NewBlockIndex(nil, fi, mi, h, m), partial} {
+		got := NewDense[float32](w.Rows, w.Cols)
+		CastInto(got, w, bi)
+		for i, v := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%d active blocks: recast diverges at %d: %v != %v",
+					bi.ActiveBlocks(), i, got.Data[i], v)
+			}
 		}
 	}
 }

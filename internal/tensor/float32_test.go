@@ -121,13 +121,13 @@ func TestOneHotMatMulFloat32(t *testing.T) {
 	}
 	d64 := NewMatrix(9, 37)
 	d32 := NewMatrix32(9, 37)
-	OneHotMatMul(d64, idx, w64)
-	OneHotMatMul(d32, idx, w32)
+	OneHotMatMul(d64, idx, w64, nil)
+	OneHotMatMul(d32, idx, w32, nil)
 	if d := d64.MaxAbsDiff(Cast[float64](d32)); d > 1e-5 {
 		t.Fatalf("f32 one-hot matmul diverges by %g", d)
 	}
 	d32.Zero()
-	OneHotMatMulParallel(d32, idx, w32, 3)
+	OneHotMatMulParallel(d32, idx, w32, nil, 3)
 	if d := d64.MaxAbsDiff(Cast[float64](d32)); d > 1e-5 {
 		t.Fatalf("f32 parallel one-hot matmul diverges by %g", d)
 	}
@@ -142,7 +142,7 @@ func TestCastRoundTrip(t *testing.T) {
 		t.Fatalf("f32→f64→f32 round trip changed values by %g", d)
 	}
 	into := NewMatrix32(5, 9)
-	CastInto(into, up)
+	CastInto(into, up, nil)
 	if d := m.MaxAbsDiff(into); d != 0 {
 		t.Fatalf("CastInto changed values by %g", d)
 	}

@@ -206,27 +206,41 @@ func MatMulATBParallel[T Float](dst, a, b *Dense[T], workers int) {
 // W is in×out, dst is batch×out. Exploiting the one-hot structure turns the
 // input GEMM into len(idx[s]) row gathers per sample, the optimization the
 // StreamBrain paper attributes to the quantile one-hot encoding (§V).
-func OneHotMatMul[T Float](dst *Dense[T], idx [][]int32, w *Dense[T]) {
+//
+// bi restricts the gather to the active blocks of a receptive field
+// (DESIGN.md §15): each active input adds only the weight-row segments of
+// the hidden HCUs its input hypercolumn reaches. nil gathers whole rows.
+// Silent blocks of W hold exact zeros, and the add is element-wise, so the
+// skipped segments are additions of +0: every index gives the same bits.
+func OneHotMatMul[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], bi *BlockIndex) {
 	if dst.Rows != len(idx) || dst.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: OneHotMatMul shape mismatch dst %dx%d, idx %d, w %dx%d",
 			dst.Rows, dst.Cols, len(idx), w.Rows, w.Cols))
 	}
+	checkBlockIndex(bi, w)
 	n := w.Cols
 	for s, active := range idx {
 		drow := dst.Row(s)
-		for i := range drow {
-			drow[i] = 0
-		}
+		clear(drow)
 		for _, in := range active {
-			addDispatch(drow, w.Data[int(in)*n:int(in)*n+n])
+			wrow := w.Data[int(in)*n : int(in)*n+n]
+			if bi == nil {
+				addDispatch(drow, wrow)
+				continue
+			}
+			for _, h := range bi.Active(int(in) / bi.Mi) {
+				o := int(h) * bi.M
+				addDispatch(drow[o:o+bi.M], wrow[o:o+bi.M])
+			}
 		}
 	}
 }
 
 // OneHotMatMulParallel parallelizes OneHotMatMul over the batch dimension.
-func OneHotMatMulParallel[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], workers int) {
+func OneHotMatMulParallel[T Float](dst *Dense[T], idx [][]int32, w *Dense[T],
+	bi *BlockIndex, workers int) {
 	if workers <= 1 || len(idx) < 4 {
-		OneHotMatMul(dst, idx, w)
+		OneHotMatMul(dst, idx, w, bi)
 		return
 	}
 	if dst.Rows != len(idx) || dst.Cols != w.Cols {
@@ -246,7 +260,7 @@ func OneHotMatMulParallel[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], wo
 			defer wg.Done()
 			sub := &Dense[T]{Rows: r1 - r0, Cols: dst.Cols,
 				Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}
-			OneHotMatMul(sub, idx[r0:r1], w)
+			OneHotMatMul(sub, idx[r0:r1], w, bi)
 		}(r0, r1)
 	}
 	wg.Wait()

@@ -153,12 +153,12 @@ func TestOneHotMatMulMatchesDense(t *testing.T) {
 	want := NewMatrix(batch, out)
 	MatMulNaive(want, dense, w)
 	got := NewMatrix(batch, out)
-	OneHotMatMul(got, idx, w)
+	OneHotMatMul(got, idx, w, nil)
 	if d := got.MaxAbsDiff(want); d > gemmTol {
 		t.Fatalf("one-hot mismatch: %g", d)
 	}
 	gotP := NewMatrix(batch, out)
-	OneHotMatMulParallel(gotP, idx, w, 4)
+	OneHotMatMulParallel(gotP, idx, w, nil, 4)
 	if d := gotP.MaxAbsDiff(want); d > gemmTol {
 		t.Fatalf("one-hot parallel mismatch: %g", d)
 	}
@@ -168,7 +168,7 @@ func TestOneHotMatMulEmptyActives(t *testing.T) {
 	w := randMatrix(rand.New(rand.NewSource(7)), 4, 3)
 	got := NewMatrix(2, 3)
 	got.Fill(99) // must be overwritten with zeros
-	OneHotMatMul(got, [][]int32{{}, {}}, w)
+	OneHotMatMul(got, [][]int32{{}, {}}, w, nil)
 	for _, v := range got.Data {
 		if v != 0 {
 			t.Fatal("empty active set should produce zero rows")

@@ -72,12 +72,28 @@ func FromSlice[T Float](rows, cols int, data []T) *Dense[T] {
 // Shapes must match exactly. It is the bridge between the float64 learning
 // state and the float32 compute path (weights down-cast after each trace
 // update, activations up-cast before they feed a float64 readout).
-func CastInto[D, S Float](dst *Dense[D], src *Dense[S]) {
+//
+// bi restricts the copy to the active blocks of a receptive field
+// (DESIGN.md §15); nil copies every element. The cast is element-wise, so
+// with silent blocks already +0 in both matrices every index gives the same
+// bits.
+func CastInto[D, S Float](dst *Dense[D], src *Dense[S], bi *BlockIndex) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: CastInto shape mismatch %dx%d <- %dx%d",
 			dst.Rows, dst.Cols, src.Rows, src.Cols))
 	}
-	CastSlice(dst.Data, src.Data)
+	checkBlockIndex(bi, src)
+	if bi == nil {
+		CastSlice(dst.Data, src.Data)
+		return
+	}
+	for r := 0; r < src.Rows; r++ {
+		drow, srow := dst.Row(r), src.Row(r)
+		for _, h := range bi.Active(r / bi.Mi) {
+			o := int(h) * bi.M
+			CastSlice(drow[o:o+bi.M], srow[o:o+bi.M])
+		}
+	}
 }
 
 // Cast returns a newly allocated precision-converted copy of src.

@@ -36,8 +36,8 @@ func DefaultParams() Params { return core.DefaultParams() }
 
 // Config selects the execution backend and model variant.
 type Config struct {
-	// Backend names the compute backend: "naive", "parallel" or "gpusim".
-	// Empty selects "parallel".
+	// Backend names the compute backend: "naive", "parallel", "fused",
+	// "gpusim" or "fpgasim" (see Backends). Empty selects "parallel".
 	Backend string
 	// Workers sets the backend worker-team size (0 = GOMAXPROCS).
 	Workers int
