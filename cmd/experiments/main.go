@@ -14,7 +14,7 @@
 //	experiments -fig 0          # headline numbers (hybrid 1x3000)
 //
 // The -events / -repeats / -mcu-cap flags trade fidelity for runtime; the
-// defaults are the reduced scale recorded in EXPERIMENTS.md.
+// defaults are the reduced scale of DESIGN.md §1 and §4.
 package main
 
 import (

@@ -15,13 +15,16 @@
 //   - "fused":    the parallel kernels plus a whole-layer LayerStep that
 //     runs one training step in three cache-blocked passes
 //     (DESIGN.md §14).
-//   - "gpusim":   a GPU-offload simulator layered on the parallel kernels
-//     that models device-resident buffers and counts kernel
-//     launches and host/device transfer bytes under both the
-//     fully-offloaded and the chatty transfer policy
-//     (the CUDA role; see DESIGN.md §1 for the substitution).
+//   - "gpusim":   a GPU-offload simulator that models device-resident
+//     buffers and counts kernel launches and host/device transfer
+//     bytes under both the fully-offloaded and the chatty transfer
+//     policy (the CUDA role; see DESIGN.md §1 for the substitution).
 //   - "fpgasim":  a streaming-pipeline cost model with posit-quantized
 //     parameters (the HLS FPGA role; float64 only).
+//
+// The two simulators are one device-cost decorator over the fused backend
+// (sim.go): each call's launch is described once and charged to the
+// simulator's ledger before the fused kernels run it.
 //
 // The receptive field reaches every kernel in one form: a *tensor.BlockIndex,
 // where nil means every block (DESIGN.md §15). There is one kernel per

@@ -190,20 +190,6 @@ func (m *model[T]) refresh() {
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
 }
 
-// homeostasis is the float64-formulated gain update shared by both paths
-// (matching core's trainer; the fused step's in-pass version is equivalent).
-func (m *model[T]) homeostasis() {
-	fair := math.Log(1 / float64(m.geom.M))
-	pmin := pminFr / float64(m.geom.M)
-	for j, v := range m.cj {
-		target := 1.0
-		if float64(v) < pmin {
-			target = fair / math.Log(math.Max(float64(v), epsilon))
-		}
-		m.kbi[j] = T((1-taubdt)*float64(m.kbi[j]) + taubdt*target)
-	}
-}
-
 // denseStep is the dense-masked composed sequence — the reference semantics.
 func (m *model[T]) denseStep(idx [][]int32) {
 	g := m.geom
@@ -214,7 +200,7 @@ func (m *model[T]) denseStep(idx [][]int32) {
 	tensor.ColMeans(m.mean, m.act)
 	m.be.Lerp(m.cj, m.mean, taupdt)
 	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt, nil)
-	m.homeostasis()
+	backend.Homeostasis(m.kbi, m.cj, g.M, taubdt, pminFr, epsilon)
 	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, nil, epsilon)
 	tensor.ZeroSilent(m.w, m.bi)
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
@@ -241,7 +227,7 @@ func (m *model[T]) sparseStep(idx [][]int32) {
 	tensor.ColMeans(m.mean, m.act)
 	m.be.Lerp(m.cj, m.mean, taupdt)
 	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt, m.bi)
-	m.homeostasis()
+	backend.Homeostasis(m.kbi, m.cj, g.M, taubdt, pminFr, epsilon)
 	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, m.bi, epsilon)
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
 }

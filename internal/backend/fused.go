@@ -110,7 +110,7 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	f.meanAct = growScratch(f.meanAct, units)
 	tensor.ColMeans(f.meanAct, act)
 	tensor.Lerp(cj, f.meanAct, T(t))
-	homeostasisStep(hyper.Kbi, cj, hyper.Blocks.M, hyper.Taubdt, hyper.PMinFraction, hyper.Eps)
+	Homeostasis(hyper.Kbi, cj, hyper.Blocks.M, hyper.Taubdt, hyper.PMinFraction, hyper.Eps)
 	updateBias(bias, hyper.Kbi, cj, hyper.Eps)
 	f.logcj = growScratch(f.logcj, units)
 	logMaxSlice(f.logcj, cj, T(hyper.Eps))
@@ -154,11 +154,16 @@ func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.De
 	}
 }
 
-// homeostasisStep is the floored-bias gain update of the composed trainer
-// (core's homeostasis, DESIGN.md §3), precision-generic so the fused step
-// reproduces it in-pass: starved units (cj below PMinFraction/M) have their
-// gain driven toward the fair-share bias level, healthy units relax to 1.
-func homeostasisStep[T tensor.Float](kbi, cj []T, m int, taubdt, pminFraction, eps float64) {
+// Homeostasis adapts the per-unit bias gain kbi of m-unit hypercolumns, the
+// one rule every training path runs (the composed trainer, in-pass in
+// LayerStep). The paper defers the bias regulation mechanism to
+// Ravichandran et al. [3]; we implement the same effect (no permanently dead
+// MCUs) with a floored-bias rule: units whose activation trace cj has fallen
+// below pmin = pminFraction/m get their bias gain driven toward the value
+// that would place the bias at the fair-share level log(1/m), removing their
+// competitive handicap so they can re-enter; healthy units relax toward gain
+// 1 (the pure Bayesian bias). Documented as a substitution in DESIGN.md §3.
+func Homeostasis[T tensor.Float](kbi, cj []T, m int, taubdt, pminFraction, eps float64) {
 	fair := logT(1 / T(m))
 	pmin := T(pminFraction) / T(m)
 	tb := T(taubdt)
@@ -166,6 +171,7 @@ func homeostasisStep[T tensor.Float](kbi, cj []T, m int, taubdt, pminFraction, e
 	for j, v := range cj {
 		target := T(1)
 		if v < pmin {
+			// log(max(v, eps)) <= log(pmin) < 0; the ratio is in (0, 1].
 			target = fair / logT(max(v, epsT))
 		}
 		kbi[j] = (1-tb)*kbi[j] + tb*target

@@ -480,3 +480,24 @@ func TestSetReceptiveFieldRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestAdaptiveSettersClamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	l := NewHiddenLayer(backend.MustNew("naive", 0), 6, 3, smallParams(), rng)
+	l.SetSwapsPerEpoch(-5)
+	if l.SwapsPerEpoch() != 0 {
+		t.Fatalf("negative budget not clamped: %d", l.SwapsPerEpoch())
+	}
+	l.SetSwapsPerEpoch(7)
+	if l.SwapsPerEpoch() != 7 {
+		t.Fatal("budget setter ignored")
+	}
+	l.SetSwapMargin(-1)
+	if l.SwapMargin() != 0 {
+		t.Fatalf("negative margin not clamped: %v", l.SwapMargin())
+	}
+	l.SetSwapMargin(0.2)
+	if l.SwapMargin() != 0.2 {
+		t.Fatal("margin setter ignored")
+	}
+}

@@ -388,7 +388,7 @@ func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 	tensor.ColMeans(l.meanAct, act)
 	l.be.Lerp(l.Cj, l.meanAct, t)
 	l.be.OneHotOuterLerp(l.Cij, idx, act, t, l.traceBlocks())
-	l.homeostasis()
+	backend.Homeostasis(l.Kbi, l.Cj, l.M, l.p.Taubdt, l.p.PMinFraction, l.p.Eps)
 	l.refreshParameters()
 	return false
 }
@@ -426,28 +426,6 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 			Trace:        l.traceBlocks(),
 		})
 	l.w32stale = true
-}
-
-// homeostasis adapts the per-unit bias gain Kbi. The paper defers the bias
-// regulation mechanism to Ravichandran et al. [3]; we implement the same
-// effect (no permanently dead MCUs) with a floored-bias rule: units whose
-// activation trace has fallen below pmin = PMinFraction/M get their bias
-// gain driven toward the value that would place the bias at the fair-share
-// level log(1/M), removing their competitive handicap so they can re-enter;
-// healthy units relax toward gain 1 (the pure Bayesian bias). Documented as
-// a substitution in DESIGN.md §3.
-func (l *HiddenLayer) homeostasis() {
-	fair := math.Log(1 / float64(l.M))
-	pmin := l.p.PMinFraction / float64(l.M)
-	for j, cj := range l.Cj {
-		target := 1.0
-		if cj < pmin {
-			lp := math.Log(math.Max(cj, l.p.Eps))
-			// lp <= log(pmin) < 0; the ratio is in (0, 1].
-			target = fair / lp
-		}
-		l.Kbi[j] = (1-l.p.Taubdt)*l.Kbi[j] + l.p.Taubdt*target
-	}
 }
 
 // ActiveFraction reports the fraction of hidden units whose activation trace

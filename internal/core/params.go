@@ -77,7 +77,7 @@ type Params struct {
 	// Taubdt is the adaptation rate of the homeostatic bias gain.
 	Taubdt float64
 	// PMinFraction sets the starvation threshold for the bias floor as a
-	// fraction of the fair share 1/MCUs (see hidden.go homeostasis()).
+	// fraction of the fair share 1/MCUs (see backend.Homeostasis).
 	PMinFraction float64
 	// Temperature is the hidden softmax temperature; lower is sharper.
 	Temperature float64

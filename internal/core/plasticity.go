@@ -194,8 +194,31 @@ func (l *HiddenLayer) reseedBlock(fi, h int) {
 	}
 }
 
+// SetSwapsPerEpoch overrides the structural swap budget at runtime — the
+// hook the interactive (ParaView-guided, §VII) control path uses.
+func (l *HiddenLayer) SetSwapsPerEpoch(n int) {
+	if n < 0 {
+		n = 0
+	}
+	l.p.SwapsPerEpoch = n
+}
+
+// SetSwapMargin overrides the swap hysteresis margin at runtime.
+func (l *HiddenLayer) SetSwapMargin(m float64) {
+	if m < 0 {
+		m = 0
+	}
+	l.p.SwapMargin = m
+}
+
+// SwapsPerEpoch reports the current budget (tests and UIs read it back).
+func (l *HiddenLayer) SwapsPerEpoch() int { return l.p.SwapsPerEpoch }
+
+// SwapMargin reports the current hysteresis margin.
+func (l *HiddenLayer) SwapMargin() float64 { return l.p.SwapMargin }
+
 // LastSwaps returns the records of the most recent StructuralUpdate — the
-// signal the adaptive-plasticity controller consumes from an EpochHook.
+// signal an EpochHook observer reads.
 func (l *HiddenLayer) LastSwaps() []SwapRecord { return l.lastSwaps }
 
 // ReceptiveField returns HCU h's mask as a []bool over input hypercolumns —

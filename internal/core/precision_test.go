@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streambrain/internal/backend"
@@ -54,6 +55,34 @@ func TestFloat32PrecisionTracksFloat64(t *testing.T) {
 	}
 	if d := math.Abs(acc64 - acc32); d > 0.02 {
 		t.Fatalf("float32 accuracy %.4f deviates from float64 %.4f by %.4f", acc32, acc64, d)
+	}
+}
+
+// TestFloat32OnLayerStepperTrainsAtFloat64 pins what Precision = Float32
+// means on a LayerStepper backend (DESIGN.md §9): TrainBatch dispatches the
+// float64 LayerStep, so the hidden layer's learning state is bit-identical
+// to a Float64 run and only the forward passes outside that step (readout
+// inputs, prediction) run at float32. On a composed backend the float32
+// forward feeds the traces, so the state differs.
+func TestFloat32OnLayerStepperTrainsAtFloat64(t *testing.T) {
+	hidden := func(name string, prec Precision) *HiddenLayer {
+		train, _, p := precisionFixture()
+		p.Precision = prec
+		n := NewNetwork(backend.MustNew(name, 2), 10, 4, 2, p)
+		n.TrainUnsupervised(train, 2)
+		return n.Hidden
+	}
+	same := func(a, b *HiddenLayer) bool {
+		return a.W.MaxAbsDiff(b.W) == 0 && a.Cij.MaxAbsDiff(b.Cij) == 0 &&
+			slices.Equal(a.Kbi, b.Kbi) && slices.Equal(a.Bias, b.Bias)
+	}
+	for _, name := range []string{"fused", "gpusim"} {
+		if !same(hidden(name, Float32), hidden(name, Float64)) {
+			t.Errorf("%s: Float32 hidden state differs from Float64", name)
+		}
+	}
+	if same(hidden("parallel", Float32), hidden("parallel", Float64)) {
+		t.Error("parallel: Float32 hidden state equals Float64 — the composed float32 forward no longer feeds the traces")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package experiments contains the per-figure reproduction harnesses: every
 // figure of the paper (and the §VI related-work comparison, which functions
 // as a table) has a Run function that regenerates the corresponding rows or
-// artifacts. DESIGN.md §4 maps experiment ids to these runners; EXPERIMENTS.md
-// records paper-vs-measured values from their output.
+// artifacts. DESIGN.md §4 maps experiment ids to these runners, which print
+// paper-vs-measured rows.
 package experiments
 
 import (
@@ -31,7 +31,7 @@ type Config struct {
 	// Bins is the quantile-encoding bin count (paper: 10).
 	Bins int
 	// Repeats is the number of repetitions averaged per configuration
-	// (paper: 10; the default harness scale uses fewer — see EXPERIMENTS.md).
+	// (paper: 10; the default harness scale uses fewer — see DESIGN.md §1).
 	Repeats int
 	// UnsupEpochs/SupEpochs are the phase lengths per trial.
 	UnsupEpochs, SupEpochs int
@@ -43,8 +43,8 @@ type Config struct {
 	OutDir string
 }
 
-// DefaultConfig returns the reduced-scale defaults recorded in
-// EXPERIMENTS.md (the paper trains on an A100 with up to 11M events and 10
+// DefaultConfig returns the reduced-scale defaults of DESIGN.md §4 (the
+// paper trains on an A100 with up to 11M events and 10
 // repetitions; see DESIGN.md §1 for the scaling substitution).
 func DefaultConfig() Config {
 	return Config{

@@ -119,7 +119,7 @@ func TestFig3CapacityShape(t *testing.T) {
 	cfg.Workers = 0
 	rows := RunFig3(cfg, []int{1}, []int{30, 1000})
 	small, large := rows[0], rows[1]
-	// Measured curve (see EXPERIMENTS.md E1): M=30 ≈ 0.58, M=1000 ≈ 0.65;
+	// Measured curve (E1, DESIGN.md §4): M=30 ≈ 0.58, M=1000 ≈ 0.65;
 	// the margin tolerates seed noise while still catching a broken trend.
 	if large.Acc.Mean <= small.Acc.Mean-0.01 {
 		t.Fatalf("capacity 1000 (%.3f) below capacity 30 (%.3f)",
@@ -290,9 +290,9 @@ func TestPrecisionAblationTolerance(t *testing.T) {
 	// offload claim (DESIGN.md §14). At float64 the fused LayerStep is
 	// bit-identical to the composed kernel sequence, so its delta — and
 	// gpusim's, which dispatches the same fused step — must be exactly
-	// zero, not merely small. The float32 fused path re-derives its
-	// parameters from a float64 in-pass update, so it gets the paper
-	// tolerance, same as composed float32.
+	// zero, not merely small. The float32 fused row trains the hidden layer
+	// at float64 too and runs only its forward passes outside LayerStep at
+	// float32 (DESIGN.md §9), so it gets the paper tolerance.
 	for _, name := range []string{"float64/fused", "float64/gpusim"} {
 		if d := res.DeltaAUC(name); d != 0 {
 			t.Fatalf("%s AUC delta %g, want exactly 0 (fused f64 is bit-exact)", name, d)

@@ -23,13 +23,16 @@ import (
 //   - posit16/8: the fpgasim backend, which quantizes derived-parameter
 //     storage through posit(16,1) / posit(8,0).
 //
-// PR 9 widens the ablation into a precision×backend grid: each precision
-// also runs on every backend that defines it and changes the execution
-// strategy — the fused whole-layer backend (DESIGN.md §14) and the gpusim
-// offload model at float64, fused again at float32. The grid is the
-// accuracy half of the fusion claim: a fused row's ΔAUC against the
-// composed reference must vanish (float64, where LayerStep is bit-exact)
-// or stay within the paper tolerance (float32).
+// The ablation is a precision×backend grid: each precision also runs on
+// every backend that defines it and changes the execution strategy — the
+// fused whole-layer backend (DESIGN.md §14) and the gpusim offload model at
+// float64, fused again at float32. The grid is the accuracy half of the
+// fusion claim: a fused row's ΔAUC against the composed reference must
+// vanish (float64, where LayerStep is bit-exact) or stay within the paper
+// tolerance (float32). The float32/fused row trains its hidden layer at
+// float64 — core dispatches the float64 LayerStep — so it measures float32
+// inference (readout inputs and prediction) on a float64-trained layer, not
+// float32 training (DESIGN.md §9).
 //
 // Reported per row: accuracy, AUC, train time, and the AUC delta against
 // the float64 reference — the number the paper's claim is about.

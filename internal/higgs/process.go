@@ -22,7 +22,7 @@ const (
 // Detector model parameters. The widths are deliberately on the pessimistic
 // side of LHC performance: they control how much signal and background
 // overlap, and are tuned so attainable AUC lands in the band the paper and
-// Baldi et al. report (strong learners ≈0.80–0.88, see EXPERIMENTS.md E6).
+// Baldi et al. report (strong learners ≈0.80–0.88; E6, DESIGN.md §4).
 const (
 	jetSmear    = 0.11 // relative jet energy resolution
 	leptonSmear = 0.04
