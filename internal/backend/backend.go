@@ -60,8 +60,6 @@ type Kernels[T tensor.Float] interface {
 
 	// MatMul computes dst = a·b.
 	MatMul(dst, a, b *tensor.Dense[T])
-	// MatMulATB computes dst = aᵀ·b without materializing aᵀ.
-	MatMulATB(dst, a, b *tensor.Dense[T])
 	// OneHotMatMul computes dst = X·w where sample s of X is the indicator
 	// vector of idx[s] (the quantile one-hot encoding of §V of the paper).
 	// bi, when non-nil, restricts the gather to its active blocks; silent W
@@ -76,8 +74,6 @@ type Kernels[T tensor.Float] interface {
 
 	// Lerp computes dst = (1-t)·dst + t·src — the exponential trace update.
 	Lerp(dst, src []T, t float64)
-	// LerpMatrix is Lerp over matrix storage.
-	LerpMatrix(dst, src *tensor.Dense[T], t float64)
 	// OneHotMeanLerp folds the batch mean of one-hot inputs into the Ci
 	// trace: ci = (1-t)·ci + (t/len(idx))·Σ_s indicator(idx[s]).
 	OneHotMeanLerp(ci []T, idx [][]int32, t float64)

@@ -94,21 +94,6 @@ func TestConformanceMatMul(t *testing.T) {
 	}
 }
 
-func TestConformanceMatMulATB(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMat(rng, 64, 31)
-	b := randMat(rng, 64, 17)
-	want := tensor.NewMatrix(31, 17)
-	MustNew("naive", 0).MatMulATB(want, a, b)
-	for _, be := range allBackends() {
-		got := tensor.NewMatrix(31, 17)
-		be.MatMulATB(got, a, b)
-		if d := got.MaxAbsDiff(want); d > tol {
-			t.Errorf("%s MatMulATB diff %g", be.Name(), d)
-		}
-	}
-}
-
 // blockIndexes returns the receptive-field inputs of the block-indexed kernel
 // tables: nil (every block), the full index and a partial one. The tables
 // use H > 1 with M = 37, no multiple of any SIMD width, so block segments
@@ -426,5 +411,25 @@ func TestParallelWorkersDefault(t *testing.T) {
 	}
 	if NewParallel(3).Workers() != 3 {
 		t.Fatal("explicit workers not honored")
+	}
+}
+
+// TestParallelSerialKernelsAllocateNothing: at one worker the row-sharded
+// kernels run their range helper over [0, n) inline, so no worker closure
+// escapes to the heap.
+func TestParallelSerialKernelsAllocateNothing(t *testing.T) {
+	p := NewParallel(1)
+	for _, c := range simCases {
+		s := simState[float64](c.sparse, c.noisy)
+		calls := map[string]func(){
+			"AddBias":         func() { p.AddBias(s.act, s.bias) },
+			"OneHotOuterLerp": func() { p.OneHotOuterLerp(s.cij, s.idx, s.act, 0.01, s.hyp.Trace) },
+			"UpdateWeights":   func() { p.UpdateWeights(s.w, s.ci, s.cj, s.cij, s.hyp.Blocks, 1e-9) },
+		}
+		for name, call := range calls {
+			if n := testing.AllocsPerRun(20, call); n != 0 {
+				t.Errorf("%s %s: %v allocs/call at one worker, want 0", c.name, name, n)
+			}
+		}
 	}
 }

@@ -33,9 +33,9 @@ type Fused[T tensor.Float] struct {
 	*Parallel[T]
 
 	// Reusable scratch, grown on first use: LayerStep is allocation-free at
-	// steady state (calls are never concurrent on one backend value).
+	// steady state (calls are never concurrent on one backend value). The
+	// log(max(cj,eps)) row is the embedded Parallel's logcj.
 	meanAct []T // batch-mean activation (units)
-	logcj   []T // log(max(cj,eps)) shared by every weight row (units)
 }
 
 // NewFused returns the float64 fused backend with the given worker-team

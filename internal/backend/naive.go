@@ -26,9 +26,6 @@ func (*Naive[T]) Workers() int { return 1 }
 // MatMul implements Kernels.
 func (*Naive[T]) MatMul(dst, a, b *tensor.Dense[T]) { tensor.MatMulNaive(dst, a, b) }
 
-// MatMulATB implements Kernels.
-func (*Naive[T]) MatMulATB(dst, a, b *tensor.Dense[T]) { tensor.MatMulATB(dst, a, b) }
-
 // OneHotMatMul implements Kernels.
 func (*Naive[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
 	bi *tensor.BlockIndex) {
@@ -57,14 +54,6 @@ func (*Naive[T]) SoftmaxGroups(m *tensor.Dense[T], groups, width int, temperatur
 
 // Lerp implements Kernels.
 func (*Naive[T]) Lerp(dst, src []T, t float64) { tensor.Lerp(dst, src, T(t)) }
-
-// LerpMatrix implements Kernels.
-func (*Naive[T]) LerpMatrix(dst, src *tensor.Dense[T], t float64) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("backend: LerpMatrix shape mismatch")
-	}
-	tensor.Lerp(dst.Data, src.Data, T(t))
-}
 
 // OneHotMeanLerp implements Kernels.
 func (*Naive[T]) OneHotMeanLerp(ci []T, idx [][]int32, t float64) {
@@ -182,21 +171,33 @@ func logT[T tensor.Float](x T) T {
 // UpdateWeights implements Kernels.
 func (*Naive[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
 	bi *tensor.BlockIndex, eps float64) {
-	updateWeightsRange(w, ci, cj, cij, bi, eps, 0, w.Rows)
+	logcj := make([]T, len(cj))
+	logMaxCols(logcj, cj, eps)
+	updateWeightsRange(w, ci, logcj, cij, bi, eps, 0, w.Rows)
 }
 
-// updateWeightsRange recomputes w rows [r0,r1) from the traces: every
-// element for nil bi, otherwise only the active blocks (silent blocks are not
-// written; the caller keeps them at zero).
+// logMaxCols fills logcj with log(max(cj,eps)), computed once per column
+// because every weight row shares it.
+func logMaxCols[T tensor.Float](logcj, cj []T, eps float64) {
+	epsT := T(eps)
+	for j, v := range cj {
+		logcj[j] = logT(max(v, epsT))
+	}
+}
+
+// updateWeightsRange recomputes w rows [r0,r1) from the traces, given
+// logcj = logMaxCols(cj): every element for nil bi, otherwise only the
+// active blocks (silent blocks are not written; the caller keeps them at
+// zero).
 //
 // Row i of w corresponds to input unit i, living in input hypercolumn
 // i/Mi. Column j corresponds to hidden unit j in hypercolumn j/M.
-func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
+func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, logcj []T, cij *tensor.Dense[T],
 	bi *tensor.BlockIndex, eps float64, r0, r1 int) {
 	if w.Rows != cij.Rows || w.Cols != cij.Cols {
 		panic("backend: UpdateWeights shape mismatch")
 	}
-	if len(ci) != w.Rows || len(cj) != w.Cols {
+	if len(ci) != w.Rows || len(logcj) != w.Cols {
 		panic("backend: UpdateWeights trace length mismatch")
 	}
 	if bi != nil && (bi.Fi*bi.Mi != w.Rows || bi.H*bi.M != w.Cols) {
@@ -204,11 +205,6 @@ func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, cj []T, cij *ten
 	}
 	epsT := T(eps)
 	eps2 := epsT * epsT
-	// Precompute log(max(cj,eps)) once per column; it is shared by all rows.
-	logcj := make([]T, len(cj))
-	for j, v := range cj {
-		logcj[j] = logT(max(v, epsT))
-	}
 	for i := r0; i < r1; i++ {
 		logci := logT(max(ci[i], epsT))
 		crow, wrow := cij.Row(i), w.Row(i)

@@ -20,6 +20,9 @@ func init() {
 type Parallel[T tensor.Float] struct {
 	workers int
 	block   int
+	// logcj is UpdateWeights' scratch, grown on first use and shared with
+	// Fused.LayerStep (calls are never concurrent on one backend value).
+	logcj []T // log(max(cj,eps)) shared by every weight row (units)
 }
 
 // NewParallel returns the float64 Parallel backend with the given team size.
@@ -42,6 +45,13 @@ func (p *Parallel[T]) Name() string { return "parallel" }
 
 // Workers implements Kernels.
 func (p *Parallel[T]) Workers() int { return p.workers }
+
+// serial reports whether a kernel over n rows runs on the calling goroutine.
+// Such a kernel applies its range helper over [0, n) directly instead of
+// calling parallelFor: the closure parallelFor takes captures the operands
+// and escapes to the heap, even when one worker would run it inline. The
+// helper and the range are the same either way, so the bits are too.
+func (p *Parallel[T]) serial(n int) bool { return p.workers <= 1 || n <= 1 }
 
 // parallelFor runs fn over [0,n) split into contiguous chunks, one per worker.
 func (p *Parallel[T]) parallelFor(n int, fn func(lo, hi int)) {
@@ -81,22 +91,15 @@ func (p *Parallel[T]) MatMul(dst, a, b *tensor.Dense[T]) {
 	tensor.MatMulParallel(dst, a, b, p.block, p.workers)
 }
 
-// MatMulATB implements Kernels.
-func (p *Parallel[T]) MatMulATB(dst, a, b *tensor.Dense[T]) {
-	tensor.MatMulATBParallel(dst, a, b, p.workers)
-}
-
 // OneHotMatMul implements Kernels.
 func (p *Parallel[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
 	bi *tensor.BlockIndex) {
 	tensor.OneHotMatMulParallel(dst, idx, w, bi, p.workers)
 }
 
-// AddBias implements Kernels. The serial case skips parallelFor entirely:
-// the closure it would take captures m and bias and escapes to the heap,
-// which is the difference between 0 and 2 allocs/op on the predict hot path.
+// AddBias implements Kernels.
 func (p *Parallel[T]) AddBias(m *tensor.Dense[T], bias []T) {
-	if p.workers <= 1 || m.Rows <= 1 {
+	if p.serial(m.Rows) {
 		addBiasRange(m, bias, 0, m.Rows)
 		return
 	}
@@ -111,14 +114,6 @@ func (p *Parallel[T]) SoftmaxGroups(m *tensor.Dense[T], groups, width int, tempe
 // Lerp implements Kernels.
 func (p *Parallel[T]) Lerp(dst, src []T, t float64) {
 	tensor.LerpParallel(dst, src, T(t), p.workers)
-}
-
-// LerpMatrix implements Kernels.
-func (p *Parallel[T]) LerpMatrix(dst, src *tensor.Dense[T], t float64) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("backend: LerpMatrix shape mismatch")
-	}
-	tensor.LerpParallel(dst.Data, src.Data, T(t), p.workers)
 }
 
 // OneHotMeanLerp implements Kernels. The Ci trace is short (total input
@@ -137,6 +132,10 @@ func (p *Parallel[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *
 	if len(idx) == 0 {
 		return
 	}
+	if p.serial(cij.Rows) {
+		oneHotOuterLerpRange(cij, idx, act, t, bi, 0, cij.Rows)
+		return
+	}
 	p.parallelFor(cij.Rows, func(lo, hi int) {
 		oneHotOuterLerpRange(cij, idx, act, t, bi, lo, hi)
 	})
@@ -152,8 +151,15 @@ func (p *Parallel[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t f
 // UpdateWeights implements Kernels.
 func (p *Parallel[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
 	bi *tensor.BlockIndex, eps float64) {
+	p.logcj = growScratch(p.logcj, len(cj))
+	logMaxCols(p.logcj, cj, eps)
+	logcj := p.logcj
+	if p.serial(w.Rows) {
+		updateWeightsRange(w, ci, logcj, cij, bi, eps, 0, w.Rows)
+		return
+	}
 	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsRange(w, ci, cj, cij, bi, eps, lo, hi)
+		updateWeightsRange(w, ci, logcj, cij, bi, eps, lo, hi)
 	})
 }
 

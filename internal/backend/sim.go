@@ -103,13 +103,6 @@ func (s *sim[T]) MatMul(dst, a, b *tensor.Dense[T]) {
 	s.dev.MatMul(dst, a, b)
 }
 
-// MatMulATB implements Kernels.
-func (s *sim[T]) MatMulATB(dst, a, b *tensor.Dense[T]) {
-	s.kernel(StageSupport, int64(a.Rows)*int64(a.Cols)*int64(b.Cols), nil,
-		buf(a.Data, opRead), buf(b.Data, opRead), buf(dst.Data, opWrite))
-	s.dev.MatMulATB(dst, a, b)
-}
-
 // OneHotMatMul implements Kernels: the gather reads only the weight panels
 // of the index.
 func (s *sim[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
@@ -135,12 +128,6 @@ func (s *sim[T]) SoftmaxGroups(m *tensor.Dense[T], groups, width int, temperatur
 func (s *sim[T]) Lerp(dst, src []T, t float64) {
 	s.kernel(StageTrace, int64(len(dst)), nil, buf(src, opRead), buf(dst, opWrite))
 	s.dev.Lerp(dst, src, t)
-}
-
-// LerpMatrix implements Kernels.
-func (s *sim[T]) LerpMatrix(dst, src *tensor.Dense[T], t float64) {
-	s.kernel(StageTrace, int64(len(dst.Data)), nil, buf(src.Data, opRead), buf(dst.Data, opWrite))
-	s.dev.LerpMatrix(dst, src, t)
 }
 
 // OneHotMeanLerp implements Kernels.

@@ -20,7 +20,7 @@ func simState[T tensor.Float](sparse, noisy bool) *layerState[T] {
 }
 
 // driveSim runs one LayerStep (then calls mark), the composed sequence of
-// the same step, and the four kernels the composed step does not issue — so
+// the same step, and the two kernels the composed step does not issue — so
 // every kernel's launch description reaches the ledger.
 func driveSim[T tensor.Float](be Kernels[T], s *layerState[T], mark func()) {
 	s.step(be.(LayerStepper[T]))
@@ -30,10 +30,7 @@ func driveSim[T tensor.Float](be Kernels[T], s *layerState[T], mark func()) {
 	for i := range x.Data {
 		x.Data[i] = T(i%7) / 7
 	}
-	scratch := tensor.NewDense[T](s.w.Rows, s.w.Cols)
 	be.MatMul(s.act, x, s.w)
-	be.MatMulATB(scratch, x, s.act)
-	be.LerpMatrix(scratch, s.cij, 0.1)
 	be.OuterLerp(s.cij, x, s.act, 0.1)
 }
 
@@ -59,30 +56,30 @@ var simCases = []simCase{
 // whole driveSim sequence, keyed precision/case/policy. "companion" is a
 // float32 Kernels32 simulator read through its float64 host's Stats.
 var goldenTransfer = map[string][2]TransferStats{
-	"f64/dense/offloaded":              {{1, 6456, 0}, {13, 12624, 8640}},
-	"f64/dense/chatty":                 {{1, 11168, 4712}, {13, 26328, 20824}},
-	"f64/dense/noisy/offloaded":        {{1, 7176, 0}, {13, 13344, 8640}},
-	"f64/dense/noisy/chatty":           {{1, 11888, 4712}, {13, 27048, 20824}},
-	"f64/sparse/offloaded":             {{1, 6456, 0}, {13, 12624, 8640}},
-	"f64/sparse/chatty":                {{1, 9568, 3112}, {13, 24728, 17624}},
-	"f64/sparse/noisy/offloaded":       {{1, 7176, 0}, {13, 13344, 8640}},
-	"f64/sparse/noisy/chatty":          {{1, 10288, 3112}, {13, 25448, 17624}},
-	"f32/dense/offloaded":              {{1, 3300, 0}, {13, 6600, 4320}},
-	"f32/dense/chatty":                 {{1, 5656, 2356}, {13, 13452, 10412}},
-	"f32/dense/noisy/offloaded":        {{1, 3660, 0}, {13, 6960, 4320}},
-	"f32/dense/noisy/chatty":           {{1, 6016, 2356}, {13, 13812, 10412}},
-	"f32/sparse/offloaded":             {{1, 3300, 0}, {13, 6600, 4320}},
-	"f32/sparse/chatty":                {{1, 4856, 1556}, {13, 12652, 8812}},
-	"f32/sparse/noisy/offloaded":       {{1, 3660, 0}, {13, 6960, 4320}},
-	"f32/sparse/noisy/chatty":          {{1, 5216, 1556}, {13, 13012, 8812}},
-	"companion/dense/offloaded":        {{1, 3300, 0}, {13, 6600, 4320}},
-	"companion/dense/chatty":           {{1, 5656, 2356}, {13, 13452, 10412}},
-	"companion/dense/noisy/offloaded":  {{1, 3660, 0}, {13, 6960, 4320}},
-	"companion/dense/noisy/chatty":     {{1, 6016, 2356}, {13, 13812, 10412}},
-	"companion/sparse/offloaded":       {{1, 3300, 0}, {13, 6600, 4320}},
-	"companion/sparse/chatty":          {{1, 4856, 1556}, {13, 12652, 8812}},
-	"companion/sparse/noisy/offloaded": {{1, 3660, 0}, {13, 6960, 4320}},
-	"companion/sparse/noisy/chatty":    {{1, 5216, 1556}, {13, 13012, 8812}},
+	"f64/dense/offloaded":              {{1, 6456, 0}, {11, 10752, 2880}},
+	"f64/dense/chatty":                 {{1, 11168, 4712}, {11, 21576, 15064}},
+	"f64/dense/noisy/offloaded":        {{1, 7176, 0}, {11, 11472, 2880}},
+	"f64/dense/noisy/chatty":           {{1, 11888, 4712}, {11, 22296, 15064}},
+	"f64/sparse/offloaded":             {{1, 6456, 0}, {11, 10752, 2880}},
+	"f64/sparse/chatty":                {{1, 9568, 3112}, {11, 19976, 11864}},
+	"f64/sparse/noisy/offloaded":       {{1, 7176, 0}, {11, 11472, 2880}},
+	"f64/sparse/noisy/chatty":          {{1, 10288, 3112}, {11, 20696, 11864}},
+	"f32/dense/offloaded":              {{1, 3300, 0}, {11, 5664, 1440}},
+	"f32/dense/chatty":                 {{1, 5656, 2356}, {11, 11076, 7532}},
+	"f32/dense/noisy/offloaded":        {{1, 3660, 0}, {11, 6024, 1440}},
+	"f32/dense/noisy/chatty":           {{1, 6016, 2356}, {11, 11436, 7532}},
+	"f32/sparse/offloaded":             {{1, 3300, 0}, {11, 5664, 1440}},
+	"f32/sparse/chatty":                {{1, 4856, 1556}, {11, 10276, 5932}},
+	"f32/sparse/noisy/offloaded":       {{1, 3660, 0}, {11, 6024, 1440}},
+	"f32/sparse/noisy/chatty":          {{1, 5216, 1556}, {11, 10636, 5932}},
+	"companion/dense/offloaded":        {{1, 3300, 0}, {11, 5664, 1440}},
+	"companion/dense/chatty":           {{1, 5656, 2356}, {11, 11076, 7532}},
+	"companion/dense/noisy/offloaded":  {{1, 3660, 0}, {11, 6024, 1440}},
+	"companion/dense/noisy/chatty":     {{1, 6016, 2356}, {11, 11436, 7532}},
+	"companion/sparse/offloaded":       {{1, 3300, 0}, {11, 5664, 1440}},
+	"companion/sparse/chatty":          {{1, 4856, 1556}, {11, 10276, 5932}},
+	"companion/sparse/noisy/offloaded": {{1, 3660, 0}, {11, 6024, 1440}},
+	"companion/sparse/noisy/chatty":    {{1, 5216, 1556}, {11, 10636, 5932}},
 }
 
 // goldenPipeline holds the fpgasim cost model after the LayerStep and after
@@ -90,16 +87,16 @@ var goldenTransfer = map[string][2]TransferStats{
 var goldenPipeline = map[string][2]PipelineStats{
 	"dense": {
 		{1, 1, [numStages]int64{330, 90, 975, 190}, [numStages]int64{330, 90, 975, 190}, 975},
-		{1, 13, [numStages]int64{4980, 180, 2670, 365}, [numStages]int64{4980, 180, 2670, 365}, 7585}},
+		{1, 11, [numStages]int64{2820, 180, 2310, 365}, [numStages]int64{2820, 180, 2310, 365}, 5065}},
 	"dense/noisy": {
 		{1, 1, [numStages]int64{420, 90, 975, 190}, [numStages]int64{420, 90, 975, 190}, 975},
-		{1, 13, [numStages]int64{5070, 180, 2670, 365}, [numStages]int64{5070, 180, 2670, 365}, 7585}},
+		{1, 11, [numStages]int64{2910, 180, 2310, 365}, [numStages]int64{2910, 180, 2310, 365}, 5065}},
 	"sparse": {
 		{1, 1, [numStages]int64{330, 90, 475, 190}, [numStages]int64{330, 90, 475, 190}, 475},
-		{1, 13, [numStages]int64{4980, 180, 1670, 365}, [numStages]int64{4980, 180, 1670, 365}, 6585}},
+		{1, 11, [numStages]int64{2820, 180, 1310, 365}, [numStages]int64{2820, 180, 1310, 365}, 4065}},
 	"sparse/noisy": {
 		{1, 1, [numStages]int64{420, 90, 475, 190}, [numStages]int64{420, 90, 475, 190}, 475},
-		{1, 13, [numStages]int64{5070, 180, 1670, 365}, [numStages]int64{5070, 180, 1670, 365}, 6585}},
+		{1, 11, [numStages]int64{2910, 180, 1310, 365}, [numStages]int64{2910, 180, 1310, 365}, 4065}},
 }
 
 // TestSimLedgerGolden pins the absolute ledger values of both simulators —
@@ -164,13 +161,11 @@ func TestGPUSimChargesAllocateNothing(t *testing.T) {
 		calls := map[string]func(be Backend){
 			"LayerStep":       func(be Backend) { s.step(be.(LayerStepper[float64])) },
 			"MatMul":          func(be Backend) { be.MatMul(x, s.act, sq) },
-			"MatMulATB":       func(be Backend) { be.MatMulATB(sq, s.act, s.act) },
 			"OuterLerp":       func(be Backend) { be.OuterLerp(sq, s.act, s.act, 0.1) },
 			"OneHotMatMul":    func(be Backend) { be.OneHotMatMul(s.act, s.idx, s.w, bi) },
 			"AddBias":         func(be Backend) { be.AddBias(s.act, s.bias) },
 			"SoftmaxGroups":   func(be Backend) { be.SoftmaxGroups(s.act, bi.H, bi.M, 1) },
 			"Lerp":            func(be Backend) { be.Lerp(s.cj, mean, 0.01) },
-			"LerpMatrix":      func(be Backend) { be.LerpMatrix(x, s.act, 0.1) },
 			"OneHotMeanLerp":  func(be Backend) { be.OneHotMeanLerp(s.ci, s.idx, 0.01) },
 			"OneHotOuterLerp": func(be Backend) { be.OneHotOuterLerp(s.cij, s.idx, s.act, 0.01, s.hyp.Trace) },
 			"UpdateWeights":   func(be Backend) { be.UpdateWeights(s.w, s.ci, s.cj, s.cij, bi, 1e-9) },

@@ -26,6 +26,17 @@ func TestSuites(t *testing.T) {
 	}
 }
 
+// TestSuiteRatiosNameTheirScenarios: a declared ratio over a scenario its
+// suite does not run is a malformed suite, not a silently skipped check.
+func TestSuiteRatiosNameTheirScenarios(t *testing.T) {
+	suites["bad-ratio"] = suite{scenarios: suites["fleet"].scenarios,
+		ratios: []Ratio{{Num: "fleet/binary/closed/r8", Den: "fleet/binary/closed/r1", Floor: 1.7}}}
+	defer delete(suites, "bad-ratio")
+	if _, err := SuiteByName("bad-ratio"); err == nil {
+		t.Fatal("a ratio over a scenario outside its suite must error")
+	}
+}
+
 func TestScenarioValidate(t *testing.T) {
 	bad := []Scenario{
 		{},

@@ -78,8 +78,8 @@ type Scenario struct {
 	// computed — the semantics twin), true the block-sparse one (silent
 	// blocks skipped via the compressed block index). A dense/sparse
 	// scenario pair shares one mask and model shape, so its within-run
-	// throughput ratio IS the measured structural-sparsity speedup the
-	// benchgate floors (-min-sparse-speedup).
+	// throughput ratio IS the measured structural-sparsity speedup, declared
+	// as a Ratio of the "sparse" suite.
 	Sparsity float64 `json:"sparsity,omitempty"`
 	Sparse   bool    `json:"sparse,omitempty"`
 
@@ -243,6 +243,23 @@ func (s Scenario) interval() time.Duration {
 	return time.Duration(float64(time.Second) / s.TargetRPS)
 }
 
+// Ratio is a throughput ratio within one report: scenario Num's throughput
+// over scenario Den's. Both sides ran on the same machine in the same run,
+// so a ratio is its own baseline, and benchgate checks it on every
+// environment. Floor is the least ratio that passes; 0 makes the ratio
+// informational (reported, never failing).
+type Ratio struct {
+	Num, Den string
+	Floor    float64
+}
+
+// suite is one built-in suite: its scenarios and the within-run ratios
+// declared over them.
+type suite struct {
+	scenarios []Scenario
+	ratios    []Ratio
+}
+
 // Suites returns the sorted names of the built-in suites.
 func Suites() []string {
 	names := make([]string, 0, len(suites))
@@ -253,14 +270,15 @@ func Suites() []string {
 	return names
 }
 
-// SuiteByName resolves a built-in suite and validates every scenario in it.
+// SuiteByName resolves a built-in suite and validates every scenario in it
+// and every ratio declared over them.
 func SuiteByName(name string) ([]Scenario, error) {
-	scs, ok := suites[name]
+	st, ok := suites[name]
 	if !ok {
 		return nil, fmt.Errorf("perf: unknown suite %q (have %v)", name, Suites())
 	}
 	seen := map[string]bool{}
-	for _, sc := range scs {
+	for _, sc := range st.scenarios {
 		if err := sc.Validate(); err != nil {
 			return nil, err
 		}
@@ -269,14 +287,24 @@ func SuiteByName(name string) ([]Scenario, error) {
 		}
 		seen[sc.Name] = true
 	}
-	return scs, nil
+	for _, r := range st.ratios {
+		if !seen[r.Num] || !seen[r.Den] || r.Floor < 0 {
+			return nil, fmt.Errorf("perf: suite %s: ratio %s / %s needs both scenarios "+
+				"in the suite and Floor >= 0", name, r.Num, r.Den)
+		}
+	}
+	return st.scenarios, nil
 }
+
+// SuiteRatios returns the within-run ratios declared for a suite; none for
+// a suite that declares none or is not built in.
+func SuiteRatios(name string) []Ratio { return suites[name].ratios }
 
 // suites are the built-in suites. "smoke" is sized for a CI gate (<3 min on
 // one runner core, pinned iteration counts); "full" is the same coverage at
 // measurement scale for local baselining of real optimization work.
-var suites = map[string][]Scenario{
-	"smoke": {
+var suites = map[string]suite{
+	"smoke": {scenarios: []Scenario{
 		{Name: "gemm/naive/128", Kind: KindKernel, Op: "gemm", Backend: "naive", Size: 128, Iters: 30},
 		{Name: "gemm/parallel/256", Kind: KindKernel, Op: "gemm", Backend: "parallel", Size: 256, Iters: 30},
 		{Name: "gemm/gpusim/256", Kind: KindKernel, Op: "gemm", Backend: "gpusim", Size: 256, Iters: 30},
@@ -293,8 +321,8 @@ var suites = map[string][]Scenario{
 		// a span a single GC cycle or scheduler preemption cannot move
 		// by the gate's 15% threshold.
 		{Name: "stream/steady", Kind: KindStream, Warmup: 512, Events: 24576, MCUs: 50},
-	},
-	"full": {
+	}},
+	"full": {scenarios: []Scenario{
 		{Name: "gemm/naive/128", Kind: KindKernel, Op: "gemm", Backend: "naive", Size: 128, Iters: 30},
 		{Name: "gemm/parallel/512", Kind: KindKernel, Op: "gemm", Backend: "parallel", Size: 512, Iters: 20},
 		{Name: "gemm/gpusim/512", Kind: KindKernel, Op: "gemm", Backend: "gpusim", Size: 512, Iters: 20},
@@ -305,12 +333,12 @@ var suites = map[string][]Scenario{
 		{Name: "serve/closed/c32b8", Kind: KindServeClosed, Concurrency: 32, BatchSize: 8, Requests: 4000, MCUs: 300},
 		{Name: "serve/open/1000rps", Kind: KindServeOpen, TargetRPS: 1000, BatchSize: 1, Requests: 5000, MCUs: 300},
 		{Name: "stream/steady", Kind: KindStream, Warmup: 2048, Events: 8192, MCUs: 300},
-	},
+	}},
 	// "kernels" is the precision sweep behind BENCH_kernels.json: every hot
 	// kernel at f64 and f32 with identical pinned work, per backend. The
 	// f32/f64 throughput ratio of a pair is the measured reduced-precision
 	// speedup (the paper's bfloat16/posit argument in CI-runnable form).
-	"kernels": {
+	"kernels": {scenarios: []Scenario{
 		{Name: "gemm/naive/256/f64", Kind: KindKernel, Op: "gemm", Backend: "naive", Size: 256, Iters: 20, Precision: "f64"},
 		{Name: "gemm/naive/256/f32", Kind: KindKernel, Op: "gemm", Backend: "naive", Size: 256, Iters: 20, Precision: "f32"},
 		{Name: "gemm/parallel/256/f64", Kind: KindKernel, Op: "gemm", Backend: "parallel", Size: 256, Iters: 30, Precision: "f64"},
@@ -327,46 +355,59 @@ var suites = map[string][]Scenario{
 		// the fused backend. gemm/trace exercise its composed kernels (they
 		// are the parallel worker team); trainstep runs the one-call
 		// LayerStep, and the fused/parallel trainstep ratio is the fusion
-		// speedup benchgate floors within-run (-min-fused-speedup).
+		// speedup, declared among the suite's ratios below.
 		{Name: "gemm/fused/256/f64", Kind: KindKernel, Op: "gemm", Backend: "fused", Size: 256, Iters: 30, Precision: "f64"},
 		{Name: "gemm/fused/256/f32", Kind: KindKernel, Op: "gemm", Backend: "fused", Size: 256, Iters: 30, Precision: "f32"},
 		{Name: "trace/fused/f64", Kind: KindKernel, Op: "trace", Backend: "fused", Iters: 40, Precision: "f64"},
 		{Name: "trace/fused/f32", Kind: KindKernel, Op: "trace", Backend: "fused", Iters: 40, Precision: "f32"},
 		{Name: "trainstep/fused/f64", Kind: KindKernel, Op: "trainstep", Backend: "fused", Iters: 30, MCUs: 200, Precision: "f64"},
 		{Name: "trainstep/fused/f32", Kind: KindKernel, Op: "trainstep", Backend: "fused", Iters: 30, MCUs: 200, Precision: "f32"},
-	},
+	}, ratios: []Ratio{
+		// The fusion speedup is floored at f64, the precision LayerStep
+		// carries the learning state at, where the blocked passes and the
+		// vectorized log are the whole difference between the backends. The
+		// f32 pair is informational: both sides already share the fast
+		// Log32 kernels, so its ratio measures cache locality alone and a
+		// floor on it would gate machine noise.
+		{Num: "trainstep/fused/f64", Den: "trainstep/parallel/f64", Floor: 1.15},
+		{Num: "trainstep/fused/f32", Den: "trainstep/parallel/f32"},
+	}},
 	// "sparse" is the structural-sparsity sweep behind BENCH_sparse.json
 	// (DESIGN.md §15): trainstep twin pairs sharing one pruned receptive-
 	// field mask, run dense-masked (every block computed, silent W blocks
 	// re-zeroed — what the schedule costs without the sparse kernels) and
 	// block-sparse (silent blocks skipped via the compressed index). The
 	// sparse/dense throughput ratio of a pair is the measured prune/regrow
-	// speedup; benchgate floors the f64 ratio at ≥80% sparsity within-run
-	// (-min-sparse-speedup), the compute half of the E10 claim — the AUC
+	// speedup; the suite's ratios floor the f64 pair at 80% sparsity, the
+	// compute half of the E10 claim — the AUC
 	// half is the experiment's own ±0.01 twin bound. The s50 and f32 pairs
 	// are informational: at half sparsity the skipped fraction is too small
 	// for the floor, and the f32 pair shares the fast Log32 kernels so its
 	// ratio mostly measures cache footprint.
-	"sparse": {
+	"sparse": {scenarios: []Scenario{
 		{Name: "trainstep/dense/f64/s80", Kind: KindKernel, Op: "trainstep", Backend: "parallel", Iters: 30, MCUs: 200, Precision: "f64", Sparsity: 0.8},
 		{Name: "trainstep/sparse/f64/s80", Kind: KindKernel, Op: "trainstep", Backend: "parallel", Iters: 30, MCUs: 200, Precision: "f64", Sparsity: 0.8, Sparse: true},
 		{Name: "trainstep/dense/f32/s80", Kind: KindKernel, Op: "trainstep", Backend: "parallel", Iters: 30, MCUs: 200, Precision: "f32", Sparsity: 0.8},
 		{Name: "trainstep/sparse/f32/s80", Kind: KindKernel, Op: "trainstep", Backend: "parallel", Iters: 30, MCUs: 200, Precision: "f32", Sparsity: 0.8, Sparse: true},
 		{Name: "trainstep/dense/f64/s50", Kind: KindKernel, Op: "trainstep", Backend: "parallel", Iters: 30, MCUs: 200, Precision: "f64", Sparsity: 0.5},
 		{Name: "trainstep/sparse/f64/s50", Kind: KindKernel, Op: "trainstep", Backend: "parallel", Iters: 30, MCUs: 200, Precision: "f64", Sparsity: 0.5, Sparse: true},
-	},
+	}, ratios: []Ratio{
+		{Num: "trainstep/sparse/f32/s80", Den: "trainstep/dense/f32/s80"},
+		{Num: "trainstep/sparse/f64/s50", Den: "trainstep/dense/f64/s50"},
+		{Num: "trainstep/sparse/f64/s80", Den: "trainstep/dense/f64/s80", Floor: 1.5},
+	}},
 	// "serve" is the predict-protocol sweep behind BENCH_serve.json
 	// (DESIGN.md §12): json/binary twin scenarios under identical closed-
 	// and open-loop load, so the throughput and allocs/op gap between a
 	// pair is the measured cost of the JSON codec path. benchgate diffs it
 	// against perf/baseline_serve.json, with the allocs/op gate keeping the
 	// pooled binary hot path allocation-free.
-	"serve": {
+	"serve": {scenarios: []Scenario{
 		{Name: "serve/json/closed/c8b16", Kind: KindServeClosed, Wire: "json", Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 100},
 		{Name: "serve/binary/closed/c8b16", Kind: KindServeClosed, Wire: "binary", Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 100},
 		{Name: "serve/json/open/300rps", Kind: KindServeOpen, Wire: "json", TargetRPS: 300, BatchSize: 4, Requests: 600, MCUs: 100},
 		{Name: "serve/binary/open/300rps", Kind: KindServeOpen, Wire: "binary", TargetRPS: 300, BatchSize: 4, Requests: 600, MCUs: 100},
-	},
+	}},
 	// "scaling" is the distributed-fabric sweep behind BENCH_scaling.json
 	// (DESIGN.md §10): the trace-merge collective across payload sizes and
 	// rank counts on both transports, plus end-to-end data-parallel train
@@ -375,7 +416,7 @@ var suites = map[string][]Scenario{
 	// is the weak-scaling story of the StreamBrain paper in CI-runnable
 	// form. Payloads are sized around the headline trace merge
 	// (280 inputs × MCUs floats).
-	"scaling": {
+	"scaling": {scenarios: []Scenario{
 		{Name: "allreduce/chan/r4/4k", Kind: KindAllreduce, Transport: "chan", Ranks: 4, Floats: 4096, Iters: 200},
 		{Name: "allreduce/tcp/r4/4k", Kind: KindAllreduce, Transport: "tcp", Ranks: 4, Floats: 4096, Iters: 200},
 		{Name: "allreduce/chan/r4/64k", Kind: KindAllreduce, Transport: "chan", Ranks: 4, Floats: 65536, Iters: 60},
@@ -394,7 +435,7 @@ var suites = map[string][]Scenario{
 		{Name: "train/tcp/r2", Kind: KindTrainScale, Transport: "tcp", Ranks: 2, Events: 4096, MCUs: 50},
 		{Name: "train/tcp/r4", Kind: KindTrainScale, Transport: "tcp", Ranks: 4, Events: 4096, MCUs: 50},
 		{Name: "train/tcp/r8", Kind: KindTrainScale, Transport: "tcp", Ranks: 8, Events: 4096, MCUs: 50},
-	},
+	}},
 	// "fleet" is the horizontal-serving sweep behind BENCH_fleet.json
 	// (DESIGN.md §13): the router front door over 1/2/4 replicas, closed and
 	// open loop, plus a kill-one-replica run. The replica-count trio shares
@@ -405,12 +446,18 @@ var suites = map[string][]Scenario{
 	// replica's capacity is bounded by its batching window, not by CPU —
 	// scaling then measures the fan-out tier, which is what this suite is
 	// for, and stays honest on a single-core CI runner.
-	"fleet": {
+	"fleet": {scenarios: []Scenario{
 		{Name: "fleet/binary/closed/r1", Kind: KindFleetClosed, Wire: "binary", Replicas: 1, Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 50},
 		{Name: "fleet/binary/closed/r2", Kind: KindFleetClosed, Wire: "binary", Replicas: 2, Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 50},
 		{Name: "fleet/binary/closed/r4", Kind: KindFleetClosed, Wire: "binary", Replicas: 4, Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 50},
 		{Name: "fleet/json/closed/r2", Kind: KindFleetClosed, Wire: "json", Replicas: 2, Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 50},
 		{Name: "fleet/binary/open/r2/300rps", Kind: KindFleetOpen, Wire: "binary", Replicas: 2, TargetRPS: 300, BatchSize: 4, Requests: 600, MCUs: 50},
 		{Name: "fleet/binary/killone/r2", Kind: KindFleetClosed, Wire: "binary", Replicas: 2, Concurrency: 8, BatchSize: 16, Requests: 600, MCUs: 50, KillOne: true},
-	},
+	}, ratios: []Ratio{
+		// DESIGN.md §13's 2-replica bar, applied as a floor to the larger
+		// fleet too. The json and kill-one scenarios have no one-replica
+		// twin to scale against.
+		{Num: "fleet/binary/closed/r2", Den: "fleet/binary/closed/r1", Floor: 1.7},
+		{Num: "fleet/binary/closed/r4", Den: "fleet/binary/closed/r1", Floor: 1.7},
+	}},
 }

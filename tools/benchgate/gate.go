@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 
 	"streambrain/internal/perf"
@@ -190,171 +188,36 @@ func FormatReport(verdicts []Verdict, failed, enforcing bool) string {
 	return b.String()
 }
 
-// fusedStepName matches a kernels-suite trainstep scenario:
-// trainstep/<backend>/<precision>.
-var fusedStepName = regexp.MustCompile(`^trainstep/(fused|parallel)/(f32|f64)$`)
-
-// FusedKernelFloor checks the whole-layer offload claim inside ONE report
-// (DESIGN.md §14): the fused backend's trainstep throughput must reach at
-// least minRatio× the composed parallel backend's at float64 — the precision
-// the fused LayerStep carries the learning state at, and where its blocked
-// passes and vectorized log are the whole difference between the backends.
-// The float32 pair is reported informationally only: both of its sides
-// already share the fast Log32 kernels, so its ratio measures cache locality
-// alone and a hard floor on it would gate machine noise. Like FleetScaling,
-// a within-run ratio is its own baseline, so callers enforce it even when
-// the environment stamp disarms the baseline diff.
-func FusedKernelFloor(results []perf.Result, minRatio float64) (lines []string, failed bool) {
-	rate := map[string]float64{}
+// CheckRatios checks the within-run ratios declared for a suite
+// (perf.SuiteRatios) against one report, one line per ratio. A ratio below
+// its floor fails, and so does a ratio whose scenario is missing from the
+// report; a floor of 0 only reports. Each ratio is its own baseline, so
+// callers enforce it even when the environment stamp disarms the baseline
+// diff.
+func CheckRatios(results []perf.Result, ratios []perf.Ratio) (lines []string, failed bool) {
+	rate := make(map[string]float64, len(results))
 	for _, r := range results {
-		if m := fusedStepName.FindStringSubmatch(r.Scenario); m != nil {
-			rate[m[1]+"/"+m[2]] = r.Throughput
-		}
+		rate[r.Scenario] = r.Throughput
 	}
-	for _, prec := range []string{"f64", "f32"} {
-		fused, par := rate["fused/"+prec], rate["parallel/"+prec]
-		if fused <= 0 || par <= 0 {
-			continue
+	for _, r := range ratios {
+		num, okNum := rate[r.Num]
+		den, okDen := rate[r.Den]
+		ratio := 0.0
+		if den > 0 {
+			ratio = num / den
 		}
-		ratio := fused / par
+		verdict := fmt.Sprintf("%.2fx (floor %.2fx) ok", ratio, r.Floor)
 		switch {
-		case prec != "f64":
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: fused trainstep %s: fused/parallel = %.2fx (informational)",
-				prec, ratio))
-		case ratio < minRatio:
+		case !okNum || !okDen:
 			failed = true
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: fused trainstep %s: fused/parallel = %.2fx (floor %.2fx) FAIL",
-				prec, ratio, minRatio))
-		default:
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: fused trainstep %s: fused/parallel = %.2fx (floor %.2fx) ok",
-				prec, ratio, minRatio))
-		}
-	}
-	return lines, failed
-}
-
-// sparseStepName matches a sparse-suite trainstep scenario:
-// trainstep/<regime>/<precision>/s<sparsity%>.
-var sparseStepName = regexp.MustCompile(`^trainstep/(sparse|dense)/(f32|f64)/s([0-9]+)$`)
-
-// SparseSpeedupFloor checks the structural-sparsity claim inside ONE report
-// (DESIGN.md §15): the block-sparse trainstep must reach at least minRatio×
-// its dense-masked twin's throughput. The floor is enforced for float64 pairs
-// at ≥80% sparsity — the regime the prune/regrow schedule targets and where
-// the skipped block fraction is large enough to carry it. Lower-sparsity and
-// float32 pairs are reported informationally: at 50% sparsity the sparse path
-// skips too little for a hard floor, and the f32 pair's ratio is confounded by
-// cache footprint. Like FusedKernelFloor, a within-run ratio is its own
-// baseline, so callers enforce it even when the environment stamp disarms the
-// baseline diff.
-func SparseSpeedupFloor(results []perf.Result, minRatio float64) (lines []string, failed bool) {
-	rate := map[string]float64{}
-	var pairs []string // "<precision>/s<sparsity%>", discovery order
-	for _, r := range results {
-		if m := sparseStepName.FindStringSubmatch(r.Scenario); m != nil {
-			pair := m[2] + "/s" + m[3]
-			if _, ok := rate["sparse/"+pair]; !ok {
-				if _, ok := rate["dense/"+pair]; !ok {
-					pairs = append(pairs, pair)
-				}
-			}
-			rate[m[1]+"/"+pair] = r.Throughput
-		}
-	}
-	sort.Strings(pairs)
-	for _, pair := range pairs {
-		sparse, dense := rate["sparse/"+pair], rate["dense/"+pair]
-		if sparse <= 0 || dense <= 0 {
-			continue
-		}
-		ratio := sparse / dense
-		pct, _ := strconv.Atoi(pair[strings.Index(pair, "/s")+2:])
-		switch {
-		case !strings.HasPrefix(pair, "f64/") || pct < 80:
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: sparse trainstep %s: sparse/dense = %.2fx (informational)",
-				pair, ratio))
-		case ratio < minRatio:
+			verdict = "scenario missing from the report FAIL"
+		case r.Floor == 0:
+			verdict = fmt.Sprintf("%.2fx (informational)", ratio)
+		case ratio < r.Floor:
 			failed = true
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: sparse trainstep %s: sparse/dense = %.2fx (floor %.2fx) FAIL",
-				pair, ratio, minRatio))
-		default:
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: sparse trainstep %s: sparse/dense = %.2fx (floor %.2fx) ok",
-				pair, ratio, minRatio))
+			verdict = fmt.Sprintf("%.2fx (floor %.2fx) FAIL", ratio, r.Floor)
 		}
-	}
-	return lines, failed
-}
-
-// fleetClosedName splits a fleet closed-loop scenario name into its load
-// shape and replica count ("fleet/binary/closed/r2" → "fleet/binary/closed",
-// 2). Kill-one scenarios are excluded: their throughput includes a replica
-// death.
-var fleetClosedName = regexp.MustCompile(`^(.+)/r([0-9]+)$`)
-
-// FleetScaling checks the fan-out tier's horizontal scaling inside ONE
-// report: for every fleet closed-loop scenario family with a single-replica
-// member, each multi-replica member must reach at least minRatio× the
-// single-replica throughput (DESIGN.md §13's 2-replica bar, applied as a
-// floor to larger fleets too). A throughput ratio within one run is its own
-// baseline — it holds or fails independent of the machine — so callers
-// enforce it even when the environment stamp disarms the baseline diff.
-func FleetScaling(results []perf.Result, minRatio float64) (lines []string, failed bool) {
-	type member struct {
-		replicas   int
-		throughput float64
-	}
-	families := map[string][]member{}
-	for _, r := range results {
-		if r.Kind != string(perf.KindFleetClosed) || strings.Contains(r.Scenario, "killone") {
-			continue
-		}
-		m := fleetClosedName.FindStringSubmatch(r.Scenario)
-		if m == nil {
-			continue
-		}
-		n, err := strconv.Atoi(m[2])
-		if err != nil || n < 1 {
-			continue
-		}
-		families[m[1]] = append(families[m[1]], member{n, r.Throughput})
-	}
-	names := make([]string, 0, len(families))
-	for name := range families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		var base float64
-		for _, m := range families[name] {
-			if m.replicas == 1 {
-				base = m.throughput
-			}
-		}
-		if base <= 0 {
-			continue // no single-replica anchor in this family
-		}
-		members := families[name]
-		sort.Slice(members, func(i, j int) bool { return members[i].replicas < members[j].replicas })
-		for _, m := range members {
-			if m.replicas == 1 {
-				continue
-			}
-			ratio := m.throughput / base
-			status := "ok"
-			if ratio < minRatio {
-				status = "FAIL"
-				failed = true
-			}
-			lines = append(lines, fmt.Sprintf(
-				"benchgate: fleet scaling %s: r%d/r1 = %.2fx (floor %.2fx) %s",
-				name, m.replicas, ratio, minRatio, status))
-		}
+		lines = append(lines, fmt.Sprintf("benchgate: ratio %s / %s = %s", r.Num, r.Den, verdict))
 	}
 	return lines, failed
 }

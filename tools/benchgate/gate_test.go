@@ -221,96 +221,84 @@ func TestCustomThresholds(t *testing.T) {
 	}
 }
 
-func TestFusedKernelFloor(t *testing.T) {
-	results := []perf.Result{
+// TestCheckRatios runs the ratios declared for each suite over doctored
+// reports: every declared floor passes above and fails below its value, the
+// informational ratios never fail, and a declared ratio whose scenario the
+// report lacks fails.
+func TestCheckRatios(t *testing.T) {
+	kernels := []perf.Result{
 		res("trainstep/parallel/f64", 800, 1.3),
-		res("trainstep/fused/f64", 1400, 0.8),
+		res("trainstep/fused/f64", 1400, 0.8), // 1.75x
 		res("trainstep/parallel/f32", 1100, 0.9),
 		res("trainstep/fused/f32", 1120, 0.9),
-		res("gemm/fused/256/f64", 300, 3.3), // non-trainstep: ignored
+		res("gemm/fused/256/f64", 300, 3.3), // in no ratio: ignored
 	}
-	lines, failed := FusedKernelFloor(results, 1.15)
-	if failed {
-		t.Fatalf("1.75x ratio must clear a 1.15x floor: %v", lines)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("want f64 enforced line + f32 informational line, got %v", lines)
-	}
-	if !strings.Contains(lines[0], "f64") || !strings.Contains(lines[0], "ok") {
-		t.Fatalf("f64 line %q, want enforced ok", lines[0])
-	}
-	if !strings.Contains(lines[1], "f32") || !strings.Contains(lines[1], "informational") {
-		t.Fatalf("f32 line %q, want informational (shared Log32 kernels, no floor)", lines[1])
-	}
-
-	// Below the floor at f64 the gate fails; the f32 pair never does.
-	results[1].Throughput = 850 // 1.06x
-	results[3].Throughput = 500 // f32 fused far below parallel
-	lines, failed = FusedKernelFloor(results, 1.15)
-	if !failed {
-		t.Fatalf("1.06x at f64 must fail a 1.15x floor: %v", lines)
-	}
-	if !strings.Contains(lines[0], "FAIL") {
-		t.Fatalf("f64 line %q, want FAIL", lines[0])
-	}
-	if strings.Contains(lines[1], "FAIL") {
-		t.Fatalf("f32 line %q must stay informational", lines[1])
-	}
-
-	// Suites without the trainstep pair (smoke, serve, fleet) are untouched.
-	lines, failed = FusedKernelFloor([]perf.Result{res("predict/json", 100, 1)}, 1.15)
-	if failed || len(lines) != 0 {
-		t.Fatalf("non-kernel suite must be exempt: %v", lines)
-	}
-}
-
-func TestSparseSpeedupFloor(t *testing.T) {
-	results := []perf.Result{
+	sparse := []perf.Result{
 		res("trainstep/dense/f64/s80", 1000, 1.0),
-		res("trainstep/sparse/f64/s80", 1800, 0.6),
+		res("trainstep/sparse/f64/s80", 1800, 0.6), // 1.80x
 		res("trainstep/dense/f32/s80", 1400, 0.7),
 		res("trainstep/sparse/f32/s80", 2200, 0.5),
 		res("trainstep/dense/f64/s50", 900, 1.1),
 		res("trainstep/sparse/f64/s50", 1200, 0.9),
 		res("trainstep/parallel/f64", 800, 1.3), // kernels-suite name: ignored
 	}
-	lines, failed := SparseSpeedupFloor(results, 1.5)
-	if failed {
-		t.Fatalf("1.80x at f64/s80 must clear a 1.5x floor: %v", lines)
+	fleet := []perf.Result{
+		res("fleet/binary/closed/r1", 1000, 2),
+		res("fleet/binary/closed/r2", 1900, 2), // 1.90x
+		res("fleet/binary/closed/r4", 3500, 2), // 3.50x
+		res("fleet/json/closed/r2", 500, 4),    // no r1 twin: no ratio
 	}
-	if len(lines) != 3 {
-		t.Fatalf("want one line per twin pair, got %v", lines)
+	// set returns a copy of results with one scenario's throughput changed.
+	set := func(results []perf.Result, name string, throughput float64) []perf.Result {
+		out := append([]perf.Result(nil), results...)
+		for i := range out {
+			if out[i].Scenario == name {
+				out[i].Throughput = throughput
+			}
+		}
+		return out
 	}
-	// Pairs report in sorted order: f32/s80, f64/s50, f64/s80. Only the
-	// f64 ≥80%-sparsity pair is enforced.
-	if !strings.Contains(lines[0], "f32/s80") || !strings.Contains(lines[0], "informational") {
-		t.Fatalf("f32 line %q, want informational (cache-footprint confound, no floor)", lines[0])
+	cases := []struct {
+		name    string
+		suite   string
+		results []perf.Result
+		failed  bool
+		want    []string // one substring per line, in declaration order
+	}{
+		{"fused f64 clears 1.15x, f32 informational", "kernels", kernels, false,
+			[]string{"fused/f64 / trainstep/parallel/f64 = 1.75x (floor 1.15x) ok", "fused/f32 / trainstep/parallel/f32 = 1.02x (informational)"}},
+		{"fused f64 below 1.15x fails, f32 never does", "kernels",
+			set(set(kernels, "trainstep/fused/f64", 850), "trainstep/fused/f32", 500), true,
+			[]string{"= 1.06x (floor 1.15x) FAIL", "= 0.45x (informational)"}},
+		{"a suite without declared ratios is exempt", "smoke",
+			[]perf.Result{res("predict/json", 100, 1)}, false, nil},
+		{"sparse f64/s80 clears 1.5x, f32/s80 and s50 informational", "sparse", sparse, false,
+			[]string{"f32/s80 = 1.57x (informational)", "f64/s50 = 1.33x (informational)", "f64/s80 = 1.80x (floor 1.50x) ok"}},
+		{"sparse f64/s80 below 1.5x fails, s50 never does", "sparse",
+			set(set(sparse, "trainstep/sparse/f64/s80", 1200), "trainstep/sparse/f64/s50", 500), true,
+			[]string{"f32/s80 = 1.57x (informational)", "f64/s50 = 0.56x (informational)", "f64/s80 = 1.20x (floor 1.50x) FAIL"}},
+		{"a half pair fails: its twin is missing", "sparse",
+			[]perf.Result{res("trainstep/dense/f64/s80", 1000, 1)}, true,
+			[]string{"f32/s80 = scenario missing from the report FAIL", "f64/s50 = scenario missing", "f64/s80 = scenario missing"}},
+		{"fleet r2 and r4 clear 1.7x over r1", "fleet", fleet, false,
+			[]string{"r2 / fleet/binary/closed/r1 = 1.90x (floor 1.70x) ok", "r4 / fleet/binary/closed/r1 = 3.50x (floor 1.70x) ok"}},
+		{"fleet r4 below 1.7x fails", "fleet", set(fleet, "fleet/binary/closed/r4", 1600), true,
+			[]string{"r2 / fleet/binary/closed/r1 = 1.90x (floor 1.70x) ok", "r4 / fleet/binary/closed/r1 = 1.60x (floor 1.70x) FAIL"}},
+		{"a zero-throughput denominator fails its floor", "fleet", set(fleet, "fleet/binary/closed/r1", 0), true,
+			[]string{"r2 / fleet/binary/closed/r1 = 0.00x (floor 1.70x) FAIL", "FAIL"}},
 	}
-	if !strings.Contains(lines[1], "f64/s50") || !strings.Contains(lines[1], "informational") {
-		t.Fatalf("s50 line %q, want informational (skip fraction too small to floor)", lines[1])
-	}
-	if !strings.Contains(lines[2], "f64/s80") || !strings.Contains(lines[2], "ok") {
-		t.Fatalf("f64/s80 line %q, want enforced ok", lines[2])
-	}
-
-	// Below the floor at f64/s80 the gate fails; the informational pairs
-	// never do.
-	results[1].Throughput = 1200 // 1.20x
-	results[5].Throughput = 500  // s50 sparse slower than dense
-	lines, failed = SparseSpeedupFloor(results, 1.5)
-	if !failed {
-		t.Fatalf("1.20x at f64/s80 must fail a 1.5x floor: %v", lines)
-	}
-	if !strings.Contains(lines[2], "FAIL") {
-		t.Fatalf("f64/s80 line %q, want FAIL", lines[2])
-	}
-	if strings.Contains(lines[1], "FAIL") {
-		t.Fatalf("s50 line %q must stay informational", lines[1])
-	}
-
-	// A half pair (dense row without its sparse twin) reports nothing.
-	lines, failed = SparseSpeedupFloor([]perf.Result{res("trainstep/dense/f64/s80", 1000, 1)}, 1.5)
-	if failed || len(lines) != 0 {
-		t.Fatalf("unpaired scenario must be exempt: %v", lines)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lines, failed := CheckRatios(c.results, perf.SuiteRatios(c.suite))
+			if failed != c.failed || len(lines) != len(c.want) {
+				t.Fatalf("failed = %v, %d lines; want %v, %d:\n%s",
+					failed, len(lines), c.failed, len(c.want), strings.Join(lines, "\n"))
+			}
+			for i, want := range c.want {
+				if !strings.Contains(lines[i], want) {
+					t.Errorf("line %d = %q, want it to contain %q", i, lines[i], want)
+				}
+			}
+		})
 	}
 }

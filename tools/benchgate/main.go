@@ -3,7 +3,10 @@
 // and exits non-zero when any scenario's throughput drops more than 15% or
 // its p99 latency grows more than 25% (tunable via flags). The report lists
 // every scenario with its fractional deltas, so a failing run names exactly
-// which hot path regressed and by how much.
+// which hot path regressed and by how much. It then checks the within-run
+// throughput ratios declared beside the report's suite in internal/perf
+// (perf.SuiteRatios) and exits non-zero when one falls below its floor, on
+// any machine.
 //
 //	go run ./cmd/streambrain-loadtest -suite smoke
 //	go run ./tools/benchgate -baseline perf/baseline.json -current BENCH_smoke.json
@@ -38,12 +41,6 @@ func main() {
 		"fail when allocs/op grows more than this fraction (and past -alloc-floor)")
 	flag.Float64Var(&th.AllocFloor, "alloc-floor", th.AllocFloor,
 		"absolute allocs/op headroom below which alloc growth is not gated")
-	minFleetScaling := flag.Float64("min-fleet-scaling", 1.7,
-		"minimum rN/r1 closed-loop throughput ratio for fleet suites (0 disables)")
-	minFusedSpeedup := flag.Float64("min-fused-speedup", 1.15,
-		"minimum fused/parallel trainstep throughput ratio at f64 for kernel suites (0 disables)")
-	minSparseSpeedup := flag.Float64("min-sparse-speedup", 1.5,
-		"minimum sparse/dense trainstep throughput ratio at f64 and >=80% sparsity for sparse suites (0 disables)")
 	advisory := flag.Bool("advisory", false,
 		"report regressions but exit 0 — for bootstrapping a baseline on new hardware")
 	strict := flag.Bool("strict", false,
@@ -89,40 +86,14 @@ func main() {
 	enforcing := !*advisory && (!envMismatch || *strict)
 	verdicts, failed := Evaluate(baseline.Results, current.Results, th)
 	fmt.Print(FormatReport(verdicts, failed, enforcing))
-	// The fleet scaling floor is a within-run ratio (DESIGN.md §13), so it
-	// needs no matching environment stamp: it enforces on every machine
-	// unless running advisory or explicitly disabled.
-	scalingFailed := false
-	if *minFleetScaling > 0 {
-		var lines []string
-		lines, scalingFailed = FleetScaling(current.Results, *minFleetScaling)
-		for _, l := range lines {
-			fmt.Println(l)
-		}
+	// The ratios declared beside the suite are within-run (each is its own
+	// baseline), so they need no matching environment stamp: they enforce
+	// on every machine unless running advisory.
+	lines, ratioFailed := CheckRatios(current.Results, perf.SuiteRatios(current.Suite))
+	for _, l := range lines {
+		fmt.Println(l)
 	}
-	// The fused-kernel floor (DESIGN.md §14) is likewise a within-run ratio:
-	// the whole-layer offload must beat the composed parallel path by the
-	// configured factor on whatever machine runs the kernels suite.
-	fusedFailed := false
-	if *minFusedSpeedup > 0 {
-		var lines []string
-		lines, fusedFailed = FusedKernelFloor(current.Results, *minFusedSpeedup)
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-	}
-	// The sparse-kernel floor (DESIGN.md §15) is the third within-run ratio:
-	// the block-sparse trainstep must beat its dense-masked twin by the
-	// configured factor wherever the sparse suite runs.
-	sparseFailed := false
-	if *minSparseSpeedup > 0 {
-		var lines []string
-		lines, sparseFailed = SparseSpeedupFloor(current.Results, *minSparseSpeedup)
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-	}
-	if (failed && enforcing) || ((scalingFailed || fusedFailed || sparseFailed) && !*advisory) {
+	if (failed && enforcing) || (ratioFailed && !*advisory) {
 		os.Exit(1)
 	}
 }

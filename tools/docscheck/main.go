@@ -5,18 +5,12 @@
 //     in a DESIGN.md heading (comments wrap across lines, so the checker
 //     joins comment continuations before matching);
 //
-//   - the README's "Cluster quickstart" section must exist, name the
-//     streambrain-dist launcher and the committed BENCH_scaling.json
-//     report, and show the launcher's core flags (-ranks, -transport,
-//     -epochs) — each of which must really be defined by
-//     cmd/streambrain-dist; every other -flag the section shows must be
-//     defined by some command under cmd/. The "Fleet quickstart" section
-//     carries the same contract against cmd/streambrain-router (-replica,
-//     -pick, -max-inflight) and BENCH_fleet.json. The "Sparsity" section
-//     carries it against cmd/streambrain (-sparsity, -sparse-compute) and
-//     BENCH_sparse.json, which must also exist at the repo root; because
-//     the sparse speed gate lives in tools/benchgate, flags shown in that
-//     section may come from tools/ as well as cmd/.
+//   - each README section in the readmeSections table ("Cluster
+//     quickstart", "Fleet quickstart", "Sparsity", "Benchmark") keeps its
+//     contract with the code: it exists, mentions what it must (the
+//     launcher, the committed report), shows its command's core flags —
+//     which that command must really define — and shows no -flag that the
+//     main.go files it may cite leave undefined; the files it cites exist;
 //
 //   - the README's "Backends" table must list exactly the names the
 //     backend registry exposes, at each precision: every backend.Names()
@@ -103,9 +97,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(1)
 	}
-	problems = append(problems, checkClusterDocs(*root)...)
-	problems = append(problems, checkFleetDocs(*root)...)
-	problems = append(problems, checkSparsityDocs(*root)...)
+	problems = append(problems, checkReadmeSections(*root)...)
 	problems = append(problems, checkBackendDocs(*root)...)
 	problems = append(problems, checkMetricDocs(*root, codeMetrics)...)
 	problems = append(problems, checkWireDocs(*root)...)
@@ -117,7 +109,7 @@ func main() {
 			len(problems), strings.Join(sorted(sections), " "))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all DESIGN.md references resolve and the cluster docs match the binaries")
+	fmt.Println("docscheck: all DESIGN.md references resolve and the README sections match the code")
 }
 
 // designSections collects the set of valid section and ablation tokens from
@@ -181,194 +173,123 @@ func sourceOffset(src, joined string, off int) int {
 
 var (
 	// flagDef matches a flag definition in a command's main.go:
-	// flag.Int("ranks", ...) or flag.IntVar(&o.ranks, "ranks", ...). The
-	// method-name class includes digits so flag.Float64/flag.Int64 match.
-	flagDef = regexp.MustCompile(`flag\.[A-Za-z][A-Za-z0-9]*\((?:&[\w.]+,\s*)?"([a-z][a-z0-9-]*)"`)
+	// flag.Int("ranks", ...), flag.IntVar(&o.ranks, "ranks", ...) or the
+	// same on a FlagSet named fs. The method-name class includes digits so
+	// Float64/Int64 match; New* (flag.NewFlagSet) is skipped by the caller.
+	flagDef = regexp.MustCompile(`\b(?:flag|fs)\.([A-Za-z][A-Za-z0-9]*)\((?:&[\w.]+,\s*)?"([a-z][a-z0-9-]*)"`)
 	// flagUse matches a -flag token shown in README prose or code blocks.
 	flagUse = regexp.MustCompile("(?:^|[\\s`(])-([a-z][a-z0-9-]*)")
 )
 
-// clusterCoreFlags are the launcher flags the quickstart must document.
-var clusterCoreFlags = []string{"ranks", "transport", "epochs"}
+// readmeSection is one README section's contract with the code: the section
+// exists, mentions every string in mentions, and shows every core flag,
+// each of which command's main.go really defines; every other -flag it
+// shows is defined by some main.go matching flagsIn; and every file in
+// files exists, so a report the section cites is committed.
+type readmeSection struct {
+	heading  string
+	mentions []string
+	command  string   // directory of the main.go defining the core flags
+	core     []string // flags the section must show
+	flagsIn  []string // globs of the main.go files a shown flag may come from
+	files    []string // paths the section cites that must exist
+}
 
-// checkClusterDocs enforces the distributed-operations docs: README's
-// "Cluster quickstart" section against the flags the commands actually
-// define, so the cluster story cannot drift from the binaries.
-func checkClusterDocs(root string) []string {
+// cmdFlags and cmdToolFlags are the flag sources of the sections: the
+// commands, plus the tools for a section that also shows a tool's flags.
+var (
+	cmdFlags     = []string{"cmd/*/main.go"}
+	cmdToolFlags = []string{"cmd/*/main.go", "tools/*/main.go"}
+)
+
+// readmeSections are the README sections checked against the code: the
+// distributed launcher, the serving fleet (DESIGN.md §13), structural
+// sparsity (DESIGN.md §15) and the repository benchmark.
+var readmeSections = []readmeSection{
+	{heading: "## Cluster quickstart",
+		mentions: []string{"streambrain-dist", "BENCH_scaling.json"},
+		command:  "cmd/streambrain-dist", core: []string{"ranks", "transport", "epochs"},
+		flagsIn: cmdFlags},
+	{heading: "## Fleet quickstart",
+		mentions: []string{"streambrain-router", "BENCH_fleet.json"},
+		command:  "cmd/streambrain-router", core: []string{"replica", "pick", "max-inflight"},
+		flagsIn: cmdFlags},
+	{heading: "## Sparsity",
+		mentions: []string{"BENCH_sparse.json", "benchgate"},
+		command:  "cmd/streambrain", core: []string{"sparsity", "sparse-compute"},
+		flagsIn: cmdToolFlags, files: []string{"BENCH_sparse.json"}},
+	{heading: "## Benchmark",
+		mentions: []string{"benchmark/README.md", "BENCHMARK.json"},
+		command:  "benchmark", core: []string{"runs", "compare"},
+		flagsIn: []string{"benchmark/main.go"}, files: []string{"benchmark/README.md", "BENCHMARK.json"}},
+}
+
+// checkReadmeSections walks readmeSections against the README under root.
+func checkReadmeSections(root string) []string {
 	readmePath := filepath.Join(root, "README.md")
 	raw, err := os.ReadFile(readmePath)
 	if err != nil {
-		return []string{fmt.Sprintf("%s: cannot read (cluster quickstart is checked): %v", readmePath, err)}
-	}
-	section := markdownSection(string(raw), "## Cluster quickstart")
-	if section == "" {
-		return []string{fmt.Sprintf("%s: missing a \"## Cluster quickstart\" section", readmePath)}
+		return []string{fmt.Sprintf("%s: cannot read (its sections are checked): %v", readmePath, err)}
 	}
 	var problems []string
-	for _, must := range []string{"streambrain-dist", "BENCH_scaling.json"} {
-		if !strings.Contains(section, must) {
-			problems = append(problems,
-				fmt.Sprintf("%s: Cluster quickstart never mentions %s", readmePath, must))
-		}
-	}
-	distFlags, err := definedFlags(filepath.Join(root, "cmd", "streambrain-dist", "main.go"))
-	if err != nil {
-		return append(problems, fmt.Sprintf("docscheck: %v", err))
-	}
-	allFlags := map[string]bool{}
-	cmds, _ := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
-	for _, path := range cmds {
-		fs, err := definedFlags(path)
-		if err != nil {
-			return append(problems, fmt.Sprintf("docscheck: %v", err))
-		}
-		for f := range fs {
-			allFlags[f] = true
-		}
-	}
-	for _, f := range clusterCoreFlags {
-		if !distFlags[f] {
-			problems = append(problems,
-				fmt.Sprintf("cmd/streambrain-dist: core flag -%s is not defined", f))
-		}
-		if !strings.Contains(section, "-"+f) {
-			problems = append(problems,
-				fmt.Sprintf("%s: Cluster quickstart never shows -%s", readmePath, f))
-		}
-	}
-	for _, m := range flagUse.FindAllStringSubmatch(section, -1) {
-		if name := m[1]; !allFlags[name] {
-			problems = append(problems, fmt.Sprintf(
-				"%s: Cluster quickstart shows -%s, which no command under cmd/ defines",
-				readmePath, name))
-		}
+	for _, rs := range readmeSections {
+		problems = append(problems, rs.check(root, readmePath, string(raw))...)
 	}
 	return problems
 }
 
-// fleetCoreFlags are the router flags the fleet quickstart must document.
-var fleetCoreFlags = []string{"replica", "pick", "max-inflight"}
-
-// checkFleetDocs enforces the serving-fleet docs (DESIGN.md §13): README's
-// "Fleet quickstart" section against the flags cmd/streambrain-router
-// actually defines, mirroring the cluster-quickstart contract.
-func checkFleetDocs(root string) []string {
-	readmePath := filepath.Join(root, "README.md")
-	raw, err := os.ReadFile(readmePath)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: cannot read (fleet quickstart is checked): %v", readmePath, err)}
-	}
-	section := markdownSection(string(raw), "## Fleet quickstart")
+// check returns one problem line per broken clause of the contract.
+func (rs readmeSection) check(root, readmePath, readme string) []string {
+	name := strings.TrimPrefix(rs.heading, "## ")
+	section := markdownSection(readme, rs.heading)
 	if section == "" {
-		return []string{fmt.Sprintf("%s: missing a \"## Fleet quickstart\" section", readmePath)}
+		return []string{fmt.Sprintf("%s: missing a %q section", readmePath, rs.heading)}
 	}
 	var problems []string
-	for _, must := range []string{"streambrain-router", "BENCH_fleet.json"} {
+	for _, must := range rs.mentions {
 		if !strings.Contains(section, must) {
 			problems = append(problems,
-				fmt.Sprintf("%s: Fleet quickstart never mentions %s", readmePath, must))
+				fmt.Sprintf("%s: %s never mentions %s", readmePath, name, must))
 		}
 	}
-	routerFlags, err := definedFlags(filepath.Join(root, "cmd", "streambrain-router", "main.go"))
+	for _, f := range rs.files {
+		if _, err := os.Stat(filepath.Join(root, f)); err != nil {
+			problems = append(problems, fmt.Sprintf(
+				"%s: %s cites %s, which is not committed", readmePath, name, f))
+		}
+	}
+	coreFlags, err := definedFlags(filepath.Join(root, rs.command, "main.go"))
 	if err != nil {
 		return append(problems, fmt.Sprintf("docscheck: %v", err))
 	}
 	allFlags := map[string]bool{}
-	cmds, _ := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
-	for _, path := range cmds {
-		fs, err := definedFlags(path)
-		if err != nil {
-			return append(problems, fmt.Sprintf("docscheck: %v", err))
-		}
-		for f := range fs {
-			allFlags[f] = true
+	for _, glob := range rs.flagsIn {
+		paths, _ := filepath.Glob(filepath.Join(root, glob))
+		for _, path := range paths {
+			fs, err := definedFlags(path)
+			if err != nil {
+				return append(problems, fmt.Sprintf("docscheck: %v", err))
+			}
+			for f := range fs {
+				allFlags[f] = true
+			}
 		}
 	}
-	for _, f := range fleetCoreFlags {
-		if !routerFlags[f] {
+	for _, f := range rs.core {
+		if !coreFlags[f] {
 			problems = append(problems,
-				fmt.Sprintf("cmd/streambrain-router: core flag -%s is not defined", f))
+				fmt.Sprintf("%s: core flag -%s is not defined", rs.command, f))
 		}
 		if !strings.Contains(section, "-"+f) {
 			problems = append(problems,
-				fmt.Sprintf("%s: Fleet quickstart never shows -%s", readmePath, f))
+				fmt.Sprintf("%s: %s never shows -%s", readmePath, name, f))
 		}
 	}
 	for _, m := range flagUse.FindAllStringSubmatch(section, -1) {
-		if name := m[1]; !allFlags[name] {
+		if f := m[1]; !allFlags[f] {
 			problems = append(problems, fmt.Sprintf(
-				"%s: Fleet quickstart shows -%s, which no command under cmd/ defines",
-				readmePath, name))
-		}
-	}
-	return problems
-}
-
-// sparsityCoreFlags are the training flags the Sparsity section must
-// document — the pair that selects the structural-plasticity regime.
-var sparsityCoreFlags = []string{"sparsity", "sparse-compute"}
-
-// checkSparsityDocs enforces the structural-sparsity docs (DESIGN.md §15):
-// README's "Sparsity" section must name the committed BENCH_sparse.json
-// report — which must itself exist at the repo root, so the documented
-// speedup table always has a measured report behind it — and show the
-// cmd/streambrain flags that select the regime. Every other -flag the
-// section shows must be defined by some command under cmd/ or tools/; the
-// tools glob joins this check (alone among the README contracts) because
-// the sparse speed gate is a tools/benchgate flag.
-func checkSparsityDocs(root string) []string {
-	readmePath := filepath.Join(root, "README.md")
-	raw, err := os.ReadFile(readmePath)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: cannot read (the Sparsity section is checked): %v", readmePath, err)}
-	}
-	section := markdownSection(string(raw), "## Sparsity")
-	if section == "" {
-		return []string{fmt.Sprintf("%s: missing a \"## Sparsity\" section", readmePath)}
-	}
-	var problems []string
-	for _, must := range []string{"BENCH_sparse.json", "benchgate"} {
-		if !strings.Contains(section, must) {
-			problems = append(problems,
-				fmt.Sprintf("%s: Sparsity section never mentions %s", readmePath, must))
-		}
-	}
-	if _, err := os.Stat(filepath.Join(root, "BENCH_sparse.json")); err != nil {
-		problems = append(problems, fmt.Sprintf(
-			"%s: Sparsity section cites BENCH_sparse.json but the report is not committed at the repo root",
-			readmePath))
-	}
-	trainFlags, err := definedFlags(filepath.Join(root, "cmd", "streambrain", "main.go"))
-	if err != nil {
-		return append(problems, fmt.Sprintf("docscheck: %v", err))
-	}
-	allFlags := map[string]bool{}
-	cmds, _ := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
-	tools, _ := filepath.Glob(filepath.Join(root, "tools", "*", "main.go"))
-	for _, path := range append(cmds, tools...) {
-		fs, err := definedFlags(path)
-		if err != nil {
-			return append(problems, fmt.Sprintf("docscheck: %v", err))
-		}
-		for f := range fs {
-			allFlags[f] = true
-		}
-	}
-	for _, f := range sparsityCoreFlags {
-		if !trainFlags[f] {
-			problems = append(problems,
-				fmt.Sprintf("cmd/streambrain: core flag -%s is not defined", f))
-		}
-		if !strings.Contains(section, "-"+f) {
-			problems = append(problems,
-				fmt.Sprintf("%s: Sparsity section never shows -%s", readmePath, f))
-		}
-	}
-	for _, m := range flagUse.FindAllStringSubmatch(section, -1) {
-		if name := m[1]; !allFlags[name] {
-			problems = append(problems, fmt.Sprintf(
-				"%s: Sparsity section shows -%s, which no command under cmd/ or tools/ defines",
-				readmePath, name))
+				"%s: %s shows -%s, which no main.go in %s defines",
+				readmePath, name, f, strings.Join(rs.flagsIn, " ")))
 		}
 	}
 	return problems
@@ -568,7 +489,9 @@ func definedFlags(path string) (map[string]bool, error) {
 	}
 	flags := map[string]bool{}
 	for _, m := range flagDef.FindAllStringSubmatch(string(raw), -1) {
-		flags[m[1]] = true
+		if !strings.HasPrefix(m[1], "New") {
+			flags[m[2]] = true
+		}
 	}
 	return flags, nil
 }
