@@ -221,72 +221,31 @@ func TestCustomThresholds(t *testing.T) {
 	}
 }
 
-// TestCheckRatios runs the ratios declared for each suite over doctored
-// reports: every declared floor passes above and fails below its value, the
-// informational ratios never fail, and a declared ratio whose scenario the
-// report lacks fails.
-func TestCheckRatios(t *testing.T) {
-	kernels := []perf.Result{
-		res("trainstep/parallel/f64", 800, 1.3),
-		res("trainstep/fused/f64", 1400, 0.8), // 1.75x
-		res("trainstep/parallel/f32", 1100, 0.9),
-		res("trainstep/fused/f32", 1120, 0.9),
-		res("gemm/fused/256/f64", 300, 3.3), // in no ratio: ignored
-	}
-	sparse := []perf.Result{
-		res("trainstep/dense/f64/s80", 1000, 1.0),
-		res("trainstep/sparse/f64/s80", 1800, 0.6), // 1.80x
-		res("trainstep/dense/f32/s80", 1400, 0.7),
-		res("trainstep/sparse/f32/s80", 2200, 0.5),
-		res("trainstep/dense/f64/s50", 900, 1.1),
-		res("trainstep/sparse/f64/s50", 1200, 0.9),
-		res("trainstep/parallel/f64", 800, 1.3), // kernels-suite name: ignored
-	}
-	fleet := []perf.Result{
-		res("fleet/binary/closed/r1", 1000, 2),
-		res("fleet/binary/closed/r2", 1900, 2), // 1.90x
-		res("fleet/binary/closed/r4", 3500, 2), // 3.50x
-		res("fleet/json/closed/r2", 500, 4),    // no r1 twin: no ratio
-	}
-	// set returns a copy of results with one scenario's throughput changed.
-	set := func(results []perf.Result, name string, throughput float64) []perf.Result {
-		out := append([]perf.Result(nil), results...)
-		for i := range out {
-			if out[i].Scenario == name {
-				out[i].Throughput = throughput
-			}
+// ratioCase is one run of CheckRatios over a suite's declared ratios.
+type ratioCase struct {
+	name    string
+	suite   string
+	results []perf.Result
+	failed  bool
+	want    []string // one substring per line, in declaration order
+}
+
+// withThroughput returns a copy of results with one scenario's throughput
+// changed.
+func withThroughput(results []perf.Result, name string, throughput float64) []perf.Result {
+	out := append([]perf.Result(nil), results...)
+	for i := range out {
+		if out[i].Scenario == name {
+			out[i].Throughput = throughput
 		}
-		return out
 	}
-	cases := []struct {
-		name    string
-		suite   string
-		results []perf.Result
-		failed  bool
-		want    []string // one substring per line, in declaration order
-	}{
-		{"fused f64 clears 1.15x, f32 informational", "kernels", kernels, false,
-			[]string{"fused/f64 / trainstep/parallel/f64 = 1.75x (floor 1.15x) ok", "fused/f32 / trainstep/parallel/f32 = 1.02x (informational)"}},
-		{"fused f64 below 1.15x fails, f32 never does", "kernels",
-			set(set(kernels, "trainstep/fused/f64", 850), "trainstep/fused/f32", 500), true,
-			[]string{"= 1.06x (floor 1.15x) FAIL", "= 0.45x (informational)"}},
-		{"a suite without declared ratios is exempt", "smoke",
-			[]perf.Result{res("predict/json", 100, 1)}, false, nil},
-		{"sparse f64/s80 clears 1.5x, f32/s80 and s50 informational", "sparse", sparse, false,
-			[]string{"f32/s80 = 1.57x (informational)", "f64/s50 = 1.33x (informational)", "f64/s80 = 1.80x (floor 1.50x) ok"}},
-		{"sparse f64/s80 below 1.5x fails, s50 never does", "sparse",
-			set(set(sparse, "trainstep/sparse/f64/s80", 1200), "trainstep/sparse/f64/s50", 500), true,
-			[]string{"f32/s80 = 1.57x (informational)", "f64/s50 = 0.56x (informational)", "f64/s80 = 1.20x (floor 1.50x) FAIL"}},
-		{"a half pair fails: its twin is missing", "sparse",
-			[]perf.Result{res("trainstep/dense/f64/s80", 1000, 1)}, true,
-			[]string{"f32/s80 = scenario missing from the report FAIL", "f64/s50 = scenario missing", "f64/s80 = scenario missing"}},
-		{"fleet r2 and r4 clear 1.7x over r1", "fleet", fleet, false,
-			[]string{"r2 / fleet/binary/closed/r1 = 1.90x (floor 1.70x) ok", "r4 / fleet/binary/closed/r1 = 3.50x (floor 1.70x) ok"}},
-		{"fleet r4 below 1.7x fails", "fleet", set(fleet, "fleet/binary/closed/r4", 1600), true,
-			[]string{"r2 / fleet/binary/closed/r1 = 1.90x (floor 1.70x) ok", "r4 / fleet/binary/closed/r1 = 1.60x (floor 1.70x) FAIL"}},
-		{"a zero-throughput denominator fails its floor", "fleet", set(fleet, "fleet/binary/closed/r1", 0), true,
-			[]string{"r2 / fleet/binary/closed/r1 = 0.00x (floor 1.70x) FAIL", "FAIL"}},
-	}
+	return out
+}
+
+// runRatioCases checks each case's verdict and lines against the ratios
+// perf declares for its suite.
+func runRatioCases(t *testing.T, cases []ratioCase) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			lines, failed := CheckRatios(c.results, perf.SuiteRatios(c.suite))
@@ -301,4 +260,70 @@ func TestCheckRatios(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFusedKernelFloor runs the kernels suite's declared ratios: fused/
+// parallel trainstep f64 is held to 1.15x, f32 is informational.
+func TestFusedKernelFloor(t *testing.T) {
+	kernels := []perf.Result{
+		res("trainstep/parallel/f64", 800, 1.3),
+		res("trainstep/fused/f64", 1400, 0.8), // 1.75x
+		res("trainstep/parallel/f32", 1100, 0.9),
+		res("trainstep/fused/f32", 1120, 0.9),
+		res("gemm/fused/256/f64", 300, 3.3), // in no ratio: ignored
+	}
+	runRatioCases(t, []ratioCase{
+		{"fused f64 clears 1.15x, f32 informational", "kernels", kernels, false,
+			[]string{"fused/f64 / trainstep/parallel/f64 = 1.75x (floor 1.15x) ok", "fused/f32 / trainstep/parallel/f32 = 1.02x (informational)"}},
+		{"fused f64 below 1.15x fails, f32 never does", "kernels",
+			withThroughput(withThroughput(kernels, "trainstep/fused/f64", 850), "trainstep/fused/f32", 500), true,
+			[]string{"= 1.06x (floor 1.15x) FAIL", "= 0.45x (informational)"}},
+		{"a suite without declared ratios is exempt", "smoke",
+			[]perf.Result{res("predict/json", 100, 1)}, false, nil},
+	})
+}
+
+// TestSparseSpeedupFloor runs the sparse suite's declared ratios: sparse/
+// dense trainstep f64/s80 is held to 1.5x, f32/s80 and f64/s50 are
+// informational, and a declared ratio whose scenario the report lacks fails.
+func TestSparseSpeedupFloor(t *testing.T) {
+	sparse := []perf.Result{
+		res("trainstep/dense/f64/s80", 1000, 1.0),
+		res("trainstep/sparse/f64/s80", 1800, 0.6), // 1.80x
+		res("trainstep/dense/f32/s80", 1400, 0.7),
+		res("trainstep/sparse/f32/s80", 2200, 0.5),
+		res("trainstep/dense/f64/s50", 900, 1.1),
+		res("trainstep/sparse/f64/s50", 1200, 0.9),
+		res("trainstep/parallel/f64", 800, 1.3), // kernels-suite name: ignored
+	}
+	runRatioCases(t, []ratioCase{
+		{"sparse f64/s80 clears 1.5x, f32/s80 and s50 informational", "sparse", sparse, false,
+			[]string{"f32/s80 = 1.57x (informational)", "f64/s50 = 1.33x (informational)", "f64/s80 = 1.80x (floor 1.50x) ok"}},
+		{"sparse f64/s80 below 1.5x fails, s50 never does", "sparse",
+			withThroughput(withThroughput(sparse, "trainstep/sparse/f64/s80", 1200), "trainstep/sparse/f64/s50", 500), true,
+			[]string{"f32/s80 = 1.57x (informational)", "f64/s50 = 0.56x (informational)", "f64/s80 = 1.20x (floor 1.50x) FAIL"}},
+		{"a half pair fails: its twin is missing", "sparse",
+			[]perf.Result{res("trainstep/dense/f64/s80", 1000, 1)}, true,
+			[]string{"f32/s80 = scenario missing from the report FAIL", "f64/s50 = scenario missing", "f64/s80 = scenario missing"}},
+	})
+}
+
+// TestCheckRatios runs the fleet suite's declared ratios: r2/r1 and r4/r1
+// binary closed-loop throughput are held to 1.7x, and a zero denominator
+// fails its floor.
+func TestCheckRatios(t *testing.T) {
+	fleet := []perf.Result{
+		res("fleet/binary/closed/r1", 1000, 2),
+		res("fleet/binary/closed/r2", 1900, 2), // 1.90x
+		res("fleet/binary/closed/r4", 3500, 2), // 3.50x
+		res("fleet/json/closed/r2", 500, 4),    // no r1 twin: no ratio
+	}
+	runRatioCases(t, []ratioCase{
+		{"fleet r2 and r4 clear 1.7x over r1", "fleet", fleet, false,
+			[]string{"r2 / fleet/binary/closed/r1 = 1.90x (floor 1.70x) ok", "r4 / fleet/binary/closed/r1 = 3.50x (floor 1.70x) ok"}},
+		{"fleet r4 below 1.7x fails", "fleet", withThroughput(fleet, "fleet/binary/closed/r4", 1600), true,
+			[]string{"r2 / fleet/binary/closed/r1 = 1.90x (floor 1.70x) ok", "r4 / fleet/binary/closed/r1 = 1.60x (floor 1.70x) FAIL"}},
+		{"a zero-throughput denominator fails its floor", "fleet", withThroughput(fleet, "fleet/binary/closed/r1", 0), true,
+			[]string{"r2 / fleet/binary/closed/r1 = 0.00x (floor 1.70x) FAIL", "FAIL"}},
+	})
 }
