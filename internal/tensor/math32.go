@@ -11,6 +11,9 @@ import "math"
 // rounded float32 result. They are what makes the float32 UpdateWeights and
 // SoftmaxGroups kernels genuinely cheaper — halving bandwidth alone would
 // leave both dominated by float64 transcendental latency (DESIGN.md §9).
+// On AVX2 machines SoftmaxRow evaluates Exp32 eight lanes at a time in
+// expSumF32AVX (simd_amd64.s), which repeats its arithmetic operation for
+// operation and is tested bit-identical to it: change the two together.
 
 const (
 	ln2Hi32 = 6.93359375e-1

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Generic→SIMD dispatch. Each wrapper runs the vector body over the largest
 // lane-aligned prefix and finishes the tail in scalar Go; below simdMinLen
 // the call overhead exceeds the win and the scalar loop runs directly.
@@ -176,3 +178,84 @@ func addDispatch[T Float](dst, src []T) {
 // SIMDEnabled reports whether the vectorized microkernels are active on this
 // machine — surfaced so benchmarks and the perf runner can record it.
 func SIMDEnabled() bool { return simdEnabled }
+
+// rowMax returns what the loop `m := x[0]; for v in x[1:] { if v > m { m = v } }`
+// returns. With vec set, the SIMD kernel scans the lane-aligned prefix; its
+// result is only used where it provably equals the loop's: no NaN in the
+// prefix (the loop skips a NaN unless it is x[0]) and a nonzero maximum
+// (VMAXPD may pick the other-signed zero). Every other row takes the loop.
+func rowMax[T Float](x []T, vec bool) T {
+	if vec && len(x) >= simdMinLen {
+		var m T
+		var nan bool
+		var n int
+		switch d := any(x).(type) {
+		case []float32:
+			m32, nan32 := maxF32AVX(d)
+			m, nan, n = T(m32), nan32, len(d)&^7
+		case []float64:
+			m64, nan64 := maxF64AVX(d)
+			m, nan, n = T(m64), nan64, len(d)&^3
+		default: // a named float type: take the loop
+			nan = true
+		}
+		if !nan && m != 0 {
+			for _, v := range x[n:] {
+				if v > m {
+					m = v
+				}
+			}
+			return m
+		}
+	}
+	m := x[0]
+	for _, v := range x[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// expSum64 sets x[i] = math.Exp((x[i]-maxv)/t) and returns the sum of the
+// results, added in index order. With vec set (and expF64Enabled),
+// expSumF64AVX runs until it meets a block of four with a lane outside its
+// range; that block is finished here with math.Exp, and the kernel resumes
+// after it.
+func expSum64[T Float](x []T, maxv, t float64, vec bool) float64 {
+	x64, ok := any(x).([]float64)
+	vec = vec && ok && expF64Enabled
+	var s float64
+	for i := 0; i < len(x); {
+		if vec && len(x)-i >= 4 {
+			var n int
+			n, s = expSumF64AVX(x64[i:], maxv, t, s)
+			i += n
+		}
+		for end := min(i+4, len(x)); i < end; i++ {
+			e := math.Exp((float64(x[i]) - maxv) / t)
+			x[i] = T(e)
+			s += e
+		}
+	}
+	return s
+}
+
+// expSum32 is expSum64's float32 twin: x[i] = Exp32((x[i]-maxv)*invT) in
+// blocks of eight.
+func expSum32(x []float32, maxv, invT float32, vec bool) float32 {
+	var s float32
+	for i := 0; i < len(x); {
+		if vec && len(x)-i >= 8 {
+			var n int
+			n, s = expSumF32AVX(x[i:], maxv, invT, s)
+			i += n
+		}
+		for end := min(i+8, len(x)); i < end; i++ {
+			e := Exp32((x[i] - maxv) * invT)
+			x[i] = e
+			s += e
+		}
+	}
+	return s
+}

@@ -2,11 +2,35 @@
 
 package tensor
 
+import "math"
+
 // simdEnabled reports whether the AVX2+FMA microkernels in simd_amd64.s may
 // be used. Detection follows the Intel manual: the CPU must advertise AVX,
 // AVX2 and FMA, and the OS must have enabled XMM/YMM state saving (OSXSAVE
 // plus XCR0 bits 1-2), otherwise executing VEX instructions faults.
 var simdEnabled = detectSIMD()
+
+// expF64Enabled gates expSumF64AVX, which copies math.Exp's FMA path. math
+// takes that path only when the runtime's own CPU check allows it, and
+// GODEBUG=cpu.fma=off clears that check while simdEnabled stays true. So
+// the kernel runs only if it reproduces math.Exp in this process; the two
+// paths round differently on most of the probe arguments.
+var expF64Enabled = simdEnabled && expKernelMatchesMath()
+
+func expKernelMatchesMath() bool {
+	var x, y [64]float64
+	for i := range x {
+		x[i] = -10.9*float64(i) - 0.37 // spans (-708, 0)
+	}
+	y = x
+	expSumF64AVX(y[:], 0, 1, 0)
+	for i, v := range x {
+		if math.Float64bits(y[i]) != math.Float64bits(math.Exp(v)) {
+			return false
+		}
+	}
+	return true
+}
 
 func detectSIMD() bool {
 	maxLeaf, _, _, _ := cpuidLow(0, 0)
@@ -43,6 +67,14 @@ func scaleF32AVX(a float32, x []float32)
 func scaleF64AVX(a float64, x []float64)
 func addF32AVX(dst, src []float32)
 func addF64AVX(dst, src []float64)
+
+// Softmax kernels over the lane-aligned prefix of x; see expSum64, expSum32
+// and rowMax in simd.go for the contracts the wrappers rely on.
+
+func expSumF64AVX(x []float64, maxv, t, s float64) (n int, sum float64)
+func expSumF32AVX(x []float32, maxv, invT, s float32) (n int, sum float32)
+func maxF64AVX(x []float64) (m float64, nan bool)
+func maxF32AVX(x []float32) (m float32, nan bool)
 
 func cpuidLow(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

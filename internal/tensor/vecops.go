@@ -97,52 +97,48 @@ func LerpParallel[T Float](dst, src []T, t T, workers int) {
 // It is max-subtracted for numerical stability; T <= 0 selects T = 1.
 // The float32 instantiation exponentiates with the reduced-precision Exp32
 // (see math32.go); accumulation stays exact enough because the max-subtracted
-// exponentials are bounded by 1.
+// exponentials are bounded by 1. A row whose entries are all -Inf comes back
+// uniform. On AVX2+FMA machines the max, exp and scale passes run vectorized
+// and return the scalar passes' results bit for bit (DESIGN.md §14).
 func SoftmaxRow[T Float](x []T, temperature float64) {
+	softmaxRow(x, temperature, simdEnabled)
+}
+
+// softmaxRow is SoftmaxRow with the vector kernels switched by vec; vec =
+// false is the scalar reference the kernels are tested against.
+func softmaxRow[T Float](x []T, temperature float64, vec bool) {
 	if len(x) == 0 {
 		return
 	}
 	if temperature <= 0 {
 		temperature = 1
 	}
-	maxv := x[0]
-	for _, v := range x[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum T
-	if xs, ok := any(x).([]float32); ok {
-		m, invT := float32(maxv), 1/float32(temperature)
-		var s float32
-		for i, v := range xs {
-			e := Exp32((v - m) * invT)
-			xs[i] = e
-			s += e
-		}
-		sum = T(s)
-	} else {
-		var s float64
-		for i, v := range x {
-			e := math.Exp((float64(v) - float64(maxv)) / temperature)
-			x[i] = T(e)
-			s += e
-		}
-		sum = T(s)
-	}
-	if sum == 0 {
-		// All supports were -Inf; fall back to uniform so downstream traces
-		// stay valid probability masses.
+	maxv := rowMax(x, vec)
+	if math.IsInf(float64(maxv), -1) && allNegInf(x) {
+		// (-Inf) - (-Inf) is NaN, so exponentiating would give a NaN row;
+		// fall back to uniform so downstream traces stay probability masses.
 		u := 1 / T(len(x))
 		for i := range x {
 			x[i] = u
 		}
 		return
 	}
-	inv := 1 / sum
-	for i := range x {
-		x[i] *= inv
+	var sum T
+	if xs, ok := any(x).([]float32); ok {
+		sum = T(expSum32(xs, float32(maxv), 1/float32(temperature), vec))
+	} else {
+		sum = T(expSum64(x, float64(maxv), temperature, vec))
 	}
+	Scale(1/sum, x)
+}
+
+func allNegInf[T Float](x []T) bool {
+	for _, v := range x {
+		if !math.IsInf(float64(v), -1) {
+			return false
+		}
+	}
+	return true
 }
 
 // SoftmaxGroups applies SoftmaxRow independently to each of `groups`

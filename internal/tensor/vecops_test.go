@@ -131,11 +131,29 @@ func TestSoftmaxTemperature(t *testing.T) {
 	}
 }
 
+// An all -Inf row must come back exactly uniform at both precisions; a
+// tolerance compare would let a NaN row through, since NaN fails every
+// comparison.
 func TestSoftmaxExtremeInputsUniformFallback(t *testing.T) {
-	x := []float64{math.Inf(-1), math.Inf(-1)}
+	for _, n := range []int{2, 5, 40} {
+		x := make([]float64, n)
+		x32 := make([]float32, n)
+		for i := range x {
+			x[i], x32[i] = math.Inf(-1), float32(math.Inf(-1))
+		}
+		SoftmaxRow(x, 1)
+		SoftmaxRow(x32, 0.5)
+		for i := range x {
+			if x[i] != 1/float64(n) || x32[i] != 1/float32(n) {
+				t.Fatalf("n=%d: fallback not uniform: %v / %v", n, x, x32)
+			}
+		}
+	}
+	// A NaN beside the -Inf entries is not an all -Inf row: it stays NaN.
+	x := []float64{math.Inf(-1), math.NaN(), math.Inf(-1)}
 	SoftmaxRow(x, 1)
-	if math.Abs(x[0]-0.5) > 1e-12 || math.Abs(x[1]-0.5) > 1e-12 {
-		t.Fatalf("fallback not uniform: %v", x)
+	if !math.IsNaN(x[0]) {
+		t.Fatalf("NaN row came back %v", x)
 	}
 }
 
