@@ -362,10 +362,9 @@ func BenchmarkTraceUpdate(b *testing.B) {
 }
 
 // BenchmarkLayerStep is the whole-layer offload ablation (DESIGN.md §14):
-// one fused LayerStep against the identical composed kernel sequence, serial
-// and with the full worker team. ReportAllocs pins the fused serial path's
-// zero-allocation steady state — the composed sequence allocates its log(Cj)
-// table on every weight refresh.
+// one fused LayerStep against parallel's, which is ComposedStep — the same
+// update as a kernel sequence — serial and with the full worker team.
+// ReportAllocs pins the fused serial path's zero-allocation steady state.
 func BenchmarkLayerStep(b *testing.B) {
 	const batch, fi, mi, h, m = 128, 28, 10, 1, 1000
 	in, units := fi*mi, h*m
@@ -400,32 +399,17 @@ func BenchmarkLayerStep(b *testing.B) {
 		Blocks: tensor.NewBlockIndex(nil, fi, mi, h, m),
 	}
 	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("fused/workers=%d", workers), func(b *testing.B) {
-			st := backend.MustNew("fused", workers).(backend.LayerStepper[float64])
-			st.LayerStep(idx, act, ci, cj, cij, w, bias, hyper) // warm scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
-			}
-		})
-		b.Run(fmt.Sprintf("composed/workers=%d", workers), func(b *testing.B) {
-			be := backend.MustNew("parallel", workers)
-			meanAct := make([]float64, units)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				be.OneHotMatMul(act, idx, w, nil)
-				be.AddBias(act, bias)
-				be.SoftmaxGroups(act, h, m, 1)
-				be.OneHotMeanLerp(ci, idx, 0.01)
-				tensor.ColMeans(meanAct, act)
-				be.Lerp(cj, meanAct, 0.01)
-				be.OneHotOuterLerp(cij, idx, act, 0.01, nil)
-				be.UpdateWeights(w, ci, cj, cij, nil, 1e-9)
-				be.UpdateBias(bias, kbi, cj, 1e-9)
-			}
-		})
+		for _, c := range []struct{ sub, backend string }{{"fused", "fused"}, {"composed", "parallel"}} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.sub, workers), func(b *testing.B) {
+				be := backend.MustNew(c.backend, workers)
+				be.LayerStep(idx, act, ci, cj, cij, w, bias, hyper) // warm scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					be.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
+				}
+			})
+		}
 	}
 }
 

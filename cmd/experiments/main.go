@@ -32,7 +32,7 @@ func main() {
 
 	var (
 		fig     = flag.Int("fig", 3, "figure to regenerate: 0 (headline), 1-5, 6 (related-work table), 7 (label efficiency), 8 (precision ablation), 9 (distributed invariance), 10 (sparsity schedule)")
-		backend = flag.String("backend", "parallel", "compute backend")
+		backend = flag.String("backend", "fused", "compute backend")
 		workers = flag.Int("workers", 0, "backend workers (0 = all cores)")
 		events  = flag.Int("events", 30000, "synthetic HIGGS events")
 		repeats = flag.Int("repeats", 3, "repetitions per configuration (paper: 10)")

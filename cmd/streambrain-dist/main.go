@@ -115,7 +115,7 @@ func main() {
 	var o opts
 	flag.IntVar(&o.ranks, "ranks", 2, "number of ranks (OS processes with -transport tcp)")
 	flag.StringVar(&o.transport, "transport", "tcp", "fabric: chan (goroutine ranks) | tcp (process ranks)")
-	flag.StringVar(&o.backend, "backend", "parallel", "compute backend per rank: naive | parallel | fused | gpusim")
+	flag.StringVar(&o.backend, "backend", "fused", "compute backend per rank: naive | parallel | fused | gpusim")
 	flag.IntVar(&o.workers, "workers", 0, "backend worker-team size per rank (0 = all cores)")
 	flag.StringVar(&o.csvPath, "higgs-csv", "", "path to the real UCI HIGGS CSV (empty = synthetic)")
 	flag.IntVar(&o.events, "events", 24000, "synthetic event count")

@@ -49,7 +49,7 @@ func main() {
 	var (
 		bundlePath  = flag.String("bundle", "", "path to the model bundle (required)")
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
-		backendName = flag.String("backend", "parallel", "compute backend: naive | parallel | fused | gpusim")
+		backendName = flag.String("backend", "fused", "compute backend: naive | parallel | fused | gpusim")
 		workers     = flag.Int("workers", 0, "per-replica backend worker-team size (0 = all cores)")
 		replicas    = flag.Int("replicas", defaultReplicas(), "model replicas = concurrent batch executors")
 		maxBatch    = flag.Int("max-batch", 64, "max coalesced events per backend call")

@@ -43,7 +43,7 @@ func main() {
 		rate    = flag.Float64("rate", 0, "ingest pacing in events/s (0 = as fast as possible)")
 		seed    = flag.Int64("seed", 1, "synthetic generation seed")
 
-		backendName = flag.String("backend", "parallel", "compute backend: naive | parallel | fused | gpusim")
+		backendName = flag.String("backend", "fused", "compute backend: naive | parallel | fused | gpusim")
 		workers     = flag.Int("workers", 0, "backend worker-team size (0 = all cores)")
 		mcus        = flag.Int("mcus", 300, "minicolumn units per HCU")
 		hcus        = flag.Int("hcus", 1, "hidden hypercolumn units")

@@ -24,7 +24,7 @@ func main() {
 	log.SetPrefix("streambrain: ")
 
 	var (
-		backendName = flag.String("backend", "parallel", "compute backend: naive | parallel | fused | gpusim")
+		backendName = flag.String("backend", "fused", "compute backend: naive | parallel | fused | gpusim")
 		workers     = flag.Int("workers", 0, "backend worker-team size (0 = all cores)")
 		csvPath     = flag.String("higgs-csv", "", "path to the real UCI HIGGS CSV (empty = synthetic)")
 		events      = flag.Int("events", 40000, "synthetic event count")

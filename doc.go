@@ -9,14 +9,14 @@
 //	train, test, enc := streambrain.LoadHiggs(streambrain.HiggsOptions{})
 //	_ = enc
 //	model, _ := streambrain.NewModel(streambrain.Config{
-//		Backend: "parallel",
+//		Backend: "fused", // the default; "" selects it too
 //		Params:  streambrain.DefaultParams(),
 //	}, train.Hypercolumns, train.UnitsPerHC, train.Classes)
 //	model.Fit(train)
 //	acc, auc := model.Evaluate(test)
 //
 // Heavy lifting lives in internal packages: internal/core (the BCPNN
-// model), internal/backend (naive / parallel / GPU-simulator kernels),
+// model), internal/backend (naive / parallel / fused / simulator kernels),
 // internal/mpi (pluggable message-passing fabric: in-process channel ranks
 // or TCP ranks as separate OS processes), internal/higgs and internal/mnistgen
 // (dataset substrates), internal/viz (in-situ visualization), internal/serve
@@ -42,10 +42,11 @@
 // unchanged.
 //
 // The compute stack is precision-parameterized (DESIGN.md §9): setting
-// Params.Precision = streambrain.Float32 runs forward passes on the
-// float32 kernel set (SIMD-accelerated on amd64) while the BCPNN traces
-// stay float64, reproducing the paper's reduced-precision training
-// scenario; bundles carry the precision and serve it end to end.
+// Params.Precision = streambrain.Float32 runs the forward passes outside
+// the training step — readout inputs and prediction — on the float32
+// kernel set (SIMD-accelerated on amd64), while the training step and the
+// BCPNN traces stay float64; bundles carry the precision and serve it end
+// to end.
 //
 // Runnable Example functions for each of these entry points live in
 // example_test.go and run under go test.

@@ -12,9 +12,9 @@
 //   - "naive":    single-threaded reference kernels (the NumPy role).
 //   - "parallel": goroutine worker-team kernels with cache blocking
 //     (the OpenMP+SIMD role).
-//   - "fused":    the parallel kernels plus a whole-layer LayerStep that
-//     runs one training step in three cache-blocked passes
-//     (DESIGN.md §14).
+//   - "fused":    the parallel kernels plus a LayerStep that runs one
+//     training step in three cache-blocked passes (DESIGN.md §14); the
+//     library default.
 //   - "gpusim":   a GPU-offload simulator that models device-resident
 //     buffers and counts kernel launches and host/device transfer
 //     bytes under both the fully-offloaded and the chatty transfer
@@ -100,6 +100,16 @@ type Kernels[T tensor.Float] interface {
 		bi *tensor.BlockIndex, eps float64)
 	// UpdateBias recomputes bias_j = kbi_j · log(max(cj_j, eps)).
 	UpdateBias(bias, kbi, cj []T, eps float64)
+
+	// LayerStep performs one complete unsupervised BCPNN batch step — the
+	// function ComposedStep spells out as kernel calls — in as few passes as
+	// the backend can manage: naive and parallel run ComposedStep itself,
+	// fused walks Cij and W once in cache-sized row blocks, and the
+	// simulators charge one launch for the whole step. act is an output (the
+	// trainer's activation buffer, batch×H·M, holding the forward pass of the
+	// pre-step parameters); every other buffer is read-write model state.
+	LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T, cij, w *tensor.Dense[T],
+		bias []T, hyper LayerHyper[T])
 }
 
 // Backend is the float64 kernel set — the precision of every training trace.

@@ -243,6 +243,11 @@ func refreshIndexes[T tensor.Float](t *testing.T, name string, be Kernels[T], ci
 	}
 }
 
+// TestConformanceUpdateWeightsBias: every float64 backend but fpgasim (whose
+// parameters are posit-quantized) refreshes W and Bias bit for bit like
+// naive's math.Log. The traces hold entries below eps², subnormals and exact
+// zeros, at an eps whose eps² is normal (they floor onto the fast log's
+// path) and at one whose eps² is subnormal (they take its fallback lanes).
 func TestConformanceUpdateWeightsBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const fi, mi, h, m = 5, 4, 3, 37
@@ -258,24 +263,28 @@ func TestConformanceUpdateWeightsBias(t *testing.T) {
 		kbi[j] = 1 + rng.Float64()
 	}
 	cij := randProbMat(rng, in, units)
-	bis := blockIndexes(fi, mi, h, m)
-	wantW := tensor.NewMatrix(in, units)
-	wantB := make([]float64, units)
-	nv := MustNew("naive", 0)
-	nv.UpdateWeights(wantW, ci, cj, cij, bis[2], 1e-9)
-	nv.UpdateBias(wantB, kbi, cj, 1e-9)
-	for _, be := range allBackends() {
-		gotW := tensor.NewMatrix(in, units)
-		gotB := make([]float64, units)
-		be.UpdateWeights(gotW, ci, cj, cij, bis[2], 1e-9)
-		be.UpdateBias(gotB, kbi, cj, 1e-9)
-		if d := gotW.MaxAbsDiff(wantW); d > tol {
-			t.Errorf("%s UpdateWeights diff %g", be.Name(), d)
+	specials := []float64{0, 5e-324, 1e-315, 1e-310, 1e-300, 1e-20}
+	for i := range cij.Data {
+		if rng.Intn(4) == 0 {
+			cij.Data[i] = specials[rng.Intn(len(specials))]
 		}
-		for j := range gotB {
-			if math.Abs(gotB[j]-wantB[j]) > tol {
-				t.Fatalf("%s UpdateBias diff at %d", be.Name(), j)
-			}
+	}
+	cj[3], cj[7], ci[2] = 0, 1e-310, 0
+	bis := blockIndexes(fi, mi, h, m)
+	nv := MustNew("naive", 0)
+	for _, eps := range []float64{1e-9, 1e-160} {
+		wantW := tensor.NewMatrix(in, units)
+		wantB := make([]float64, units)
+		nv.UpdateWeights(wantW, ci, cj, cij, bis[2], eps)
+		nv.UpdateBias(wantB, kbi, cj, eps)
+		for _, be := range allBackends() {
+			gotW := tensor.NewMatrix(in, units)
+			gotB := make([]float64, units)
+			be.UpdateWeights(gotW, ci, cj, cij, bis[2], eps)
+			be.UpdateBias(gotB, kbi, cj, eps)
+			what := fmt.Sprintf("%s/%d eps %g", be.Name(), be.Workers(), eps)
+			sameBits(t, what+" UpdateWeights", gotW.Data, wantW.Data)
+			sameBits(t, what+" UpdateBias", gotB, wantB)
 		}
 	}
 	ci32, cj32 := make([]float32, in), make([]float32, units)

@@ -3,14 +3,13 @@
 // multi-step training simulation — including mid-run structural mask swaps —
 // through three paths:
 //
-//   - the dense-masked composed kernel sequence (the reference semantics:
-//     every kernel at the nil index, silent weight blocks re-zeroed after
-//     each refresh, traces updated densely);
-//   - the block-sparse composed sequence of every kernel set under test,
-//     every kernel at the mask's block index;
-//   - the whole-layer LayerStep path with the block index as both the
-//     receptive field and the trace index, for kernel sets that implement
-//     backend.LayerStepper;
+//   - the dense-masked composed step (the reference semantics: every block
+//     gathered, decayed and re-derived, silent weight blocks re-zeroed after
+//     each refresh);
+//   - backend.ComposedStep over every kernel set under test, with the mask's
+//     block index as both the receptive field and the trace index;
+//   - the kernel set's own LayerStep on the same indexes, for candidates
+//     that ask for it;
 //
 // and compares every observable (activations, traces, gains, weights,
 // biases) field by field after every step. Swap events re-seed the newly
@@ -136,28 +135,28 @@ func newScript(cfg Config) *script {
 type model[T tensor.Float] struct {
 	geom Geometry
 	be   backend.Kernels[T]
-	st   backend.LayerStepper[T] // non-nil: sparse steps go through LayerStep
+	step bool // sparse steps go through be.LayerStep, not ComposedStep
 
 	mask []bool
 	bi   *tensor.BlockIndex
+	full *tensor.BlockIndex // every block active: the dense reference's index
 
 	ci, cj, kbi, bias []T
 	cij, w            *tensor.Dense[T]
 	act               *tensor.Dense[T]
-	mean              []T
 }
 
 // newModel builds a model with the scripted initial state: traces seeded
 // from cfg.Seed (identically in every model), parameters derived by a
 // refresh so the silent-zeros invariant holds from step zero.
-func newModel[T tensor.Float](cfg Config, sc *script, be backend.Kernels[T],
-	st backend.LayerStepper[T]) *model[T] {
+func newModel[T tensor.Float](cfg Config, sc *script, be backend.Kernels[T], step bool) *model[T] {
 	g := cfg.Geom
 	in, units := g.Fi*g.Mi, g.H*g.M
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	m := &model[T]{
-		geom: g, be: be, st: st,
+		geom: g, be: be, step: step,
 		mask: append([]bool(nil), sc.mask0...),
+		full: tensor.NewBlockIndex(nil, g.Fi, g.Mi, g.H, g.M),
 		ci:   make([]T, in),
 		cj:   make([]T, units),
 		kbi:  make([]T, units),
@@ -165,7 +164,6 @@ func newModel[T tensor.Float](cfg Config, sc *script, be backend.Kernels[T],
 		cij:  tensor.NewDense[T](in, units),
 		w:    tensor.NewDense[T](in, units),
 		act:  tensor.NewDense[T](cfg.Batch, units),
-		mean: make([]T, units),
 	}
 	for i := range m.ci {
 		m.ci[i] = T(rng.Float64()*0.9 + 0.05)
@@ -190,46 +188,29 @@ func (m *model[T]) refresh() {
 	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
 }
 
-// denseStep is the dense-masked composed sequence — the reference semantics.
-func (m *model[T]) denseStep(idx [][]int32) {
-	g := m.geom
-	m.be.OneHotMatMul(m.act, idx, m.w, nil)
-	m.be.AddBias(m.act, m.bias)
-	m.be.SoftmaxGroups(m.act, g.H, g.M, temper)
-	m.be.OneHotMeanLerp(m.ci, idx, taupdt)
-	tensor.ColMeans(m.mean, m.act)
-	m.be.Lerp(m.cj, m.mean, taupdt)
-	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt, nil)
-	backend.Homeostasis(m.kbi, m.cj, g.M, taubdt, pminFr, epsilon)
-	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, nil, epsilon)
-	tensor.ZeroSilent(m.w, m.bi)
-	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
+// hyper is the step schedule over the given receptive field and trace index.
+func (m *model[T]) hyper(blocks, trace *tensor.BlockIndex) backend.LayerHyper[T] {
+	return backend.LayerHyper[T]{
+		Taupdt: taupdt, Taubdt: taubdt, PMinFraction: pminFr,
+		Temperature: temper, Eps: epsilon, Kbi: m.kbi,
+		Blocks: blocks, Trace: trace,
+	}
 }
 
-// sparseStep is the block-sparse composed sequence, or — when the model was
-// built around a LayerStepper — the whole-layer fused step with a block
-// index.
+// denseStep is the dense-masked composed step — the reference semantics.
+func (m *model[T]) denseStep(idx [][]int32) {
+	backend.ComposedStep(m.be, idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.full, nil))
+	tensor.ZeroSilent(m.w, m.bi)
+}
+
+// sparseStep is the block-sparse step: ComposedStep, or the kernel set's
+// own LayerStep, with the block index as receptive field and trace index.
 func (m *model[T]) sparseStep(idx [][]int32) {
-	g := m.geom
-	if m.st != nil {
-		m.st.LayerStep(idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias,
-			backend.LayerHyper[T]{
-				Taupdt: taupdt, Taubdt: taubdt, PMinFraction: pminFr,
-				Temperature: temper, Eps: epsilon, Kbi: m.kbi,
-				Blocks: m.bi, Trace: m.bi,
-			})
+	if m.step {
+		m.be.LayerStep(idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.bi, m.bi))
 		return
 	}
-	m.be.OneHotMatMul(m.act, idx, m.w, m.bi)
-	m.be.AddBias(m.act, m.bias)
-	m.be.SoftmaxGroups(m.act, g.H, g.M, temper)
-	m.be.OneHotMeanLerp(m.ci, idx, taupdt)
-	tensor.ColMeans(m.mean, m.act)
-	m.be.Lerp(m.cj, m.mean, taupdt)
-	m.be.OneHotOuterLerp(m.cij, idx, m.act, taupdt, m.bi)
-	backend.Homeostasis(m.kbi, m.cj, g.M, taubdt, pminFr, epsilon)
-	m.be.UpdateWeights(m.w, m.ci, m.cj, m.cij, m.bi, epsilon)
-	m.be.UpdateBias(m.bias, m.kbi, m.cj, epsilon)
+	backend.ComposedStep(m.be, idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.bi, m.bi))
 }
 
 // applySwap mutates the mask per the scripted events, re-seeds each newly
@@ -323,12 +304,12 @@ func compare[T tensor.Float](t *testing.T, step int, name, refName string,
 	}
 }
 
-// Candidate names one kernel set under test. Stepper, when non-nil, routes
-// the sparse path through LayerStep instead of the composed sequence.
+// Candidate names one kernel set under test. Step routes its sparse path
+// through the kernel set's LayerStep instead of ComposedStep.
 type Candidate[T tensor.Float] struct {
 	Name    string
 	Kernels backend.Kernels[T]
-	Stepper backend.LayerStepper[T]
+	Step    bool
 }
 
 // Run executes the scripted simulation: a dense-masked reference and a
@@ -344,11 +325,11 @@ func Run[T tensor.Float](t *testing.T, cfg Config, naive backend.Kernels[T],
 		t.Fatalf("backendtest: K = %d out of range for Fi = %d", cfg.K, cfg.Geom.Fi)
 	}
 	sc := newScript(cfg)
-	ref := newModel(cfg, sc, naive, nil)  // dense-masked reference
-	base := newModel(cfg, sc, naive, nil) // naive sparse baseline
+	ref := newModel(cfg, sc, naive, false)  // dense-masked reference
+	base := newModel(cfg, sc, naive, false) // naive sparse baseline
 	models := make([]*model[T], len(cands))
 	for i, c := range cands {
-		models[i] = newModel(cfg, sc, c.Kernels, c.Stepper)
+		models[i] = newModel(cfg, sc, c.Kernels, c.Step)
 	}
 	for s := 0; s < cfg.Steps; s++ {
 		if evs, ok := sc.swaps[s]; ok {

@@ -140,7 +140,7 @@ func (f *FPGASim) UpdateBias(bias, kbi, cj []float64, eps float64) {
 	f.format.QuantizeSlice(bias)
 }
 
-// LayerStep implements LayerStepper: the fused float64 step, with the
+// LayerStep implements Kernels: the fused float64 step, with the
 // derived parameters re-quantized into posit storage on the way out —
 // the numerical contract of the composed kernels (UpdateWeights/UpdateBias
 // quantize identically).

@@ -134,7 +134,7 @@ func TestFPGASimPipelineModel(t *testing.T) {
 	// sum of its stage cycles, so the same work costs strictly more device
 	// time than the fused pipeline's max.
 	f.ResetPipeline()
-	composedStep[float64](f, s)
+	s.composed(f)
 	c := f.Pipeline()
 	if c.Steps != 0 {
 		t.Fatalf("composed sequence counted %d fused steps", c.Steps)

@@ -10,32 +10,28 @@ func init() {
 }
 
 // Fused is the whole-layer offload backend (DESIGN.md §14) — the CPU analogue
-// of StreamBrain's `full_cuda` backend. Its composed kernels are the Parallel
-// worker-team kernels (embedded); what it adds is LayerStep, which runs the
-// entire unsupervised batch update in three passes instead of nine kernel
-// dispatches:
+// of StreamBrain's `full_cuda` backend, and the library default. Its kernels
+// are the Parallel worker-team kernels (embedded); what it changes is
+// LayerStep, which runs the entire unsupervised batch update in three passes
+// instead of ComposedStep's nine kernel dispatches:
 //
 //  1. one pass over the activation matrix per worker band: support gather,
 //     bias, optional noise, and the per-HCU softmax, row by row;
 //  2. a short serial section over the small per-unit vectors: Ci/Cj traces,
-//     homeostatic gain, bias refresh, and the shared log(Cj) table — the
-//     composed weight kernel rebuilds that table on every call per worker;
+//     homeostatic gain, bias refresh, and the shared log(Cj) table;
 //  3. one cache-blocked pass over Cij and W per worker band: each row block
 //     is decayed, accumulated, and immediately re-derived into weights while
 //     it is still cache-resident — the composed path walks both matrices
 //     twice (trace kernel, then weight kernel) from DRAM.
 //
 // Every elementary operation reuses the composed microkernels in the same
-// order per element, so at float64 LayerStep is bit-identical to the composed
-// sequence (the property tests assert it); fusion changes when memory is
-// touched, not what is computed.
+// order per element, so at float64 LayerStep is bit-identical to
+// ComposedStep (the property tests assert it); fusion changes when memory is
+// touched, not what is computed. UpdateWeights, which re-derives W without a
+// trace update (construction, trace re-seeding and merges, mask changes),
+// runs pass 3's weight-row routine alone.
 type Fused[T tensor.Float] struct {
 	*Parallel[T]
-
-	// Reusable scratch, grown on first use: LayerStep is allocation-free at
-	// steady state (calls are never concurrent on one backend value). The
-	// log(max(cj,eps)) row is the embedded Parallel's logcj.
-	meanAct []T // batch-mean activation (units)
 }
 
 // NewFused returns the float64 fused backend with the given worker-team
@@ -58,35 +54,9 @@ func growScratch[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// checkLayerStep validates every shape of a fused step against the geometry
-// of hyper.Blocks, so the blocked passes can index without per-element
-// checks.
-func checkLayerStep[T tensor.Float](idx [][]int32, act *tensor.Dense[T], ci, cj []T,
-	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
-	bi := hyper.Blocks
-	if bi == nil {
-		panic("backend: LayerStep needs hyper.Blocks")
-	}
-	in, units := bi.Fi*bi.Mi, bi.H*bi.M
-	if act.Rows != len(idx) || act.Cols != units {
-		panic("backend: LayerStep act shape mismatch")
-	}
-	if w.Rows != in || w.Cols != units || cij.Rows != in || cij.Cols != units {
-		panic("backend: LayerStep W/Cij shape mismatch")
-	}
-	if len(ci) != in || len(cj) != units || len(bias) != units || len(hyper.Kbi) != units {
-		panic("backend: LayerStep vector length mismatch")
-	}
-	if hyper.Noise != nil && len(hyper.Noise) != len(idx)*units {
-		panic("backend: LayerStep noise length mismatch")
-	}
-	if tr := hyper.Trace; tr != nil &&
-		(tr.Fi != bi.Fi || tr.Mi != bi.Mi || tr.H != bi.H || tr.M != bi.M) {
-		panic("backend: LayerStep trace-index geometry mismatch")
-	}
-}
-
-// LayerStep implements LayerStepper.
+// LayerStep implements Kernels in three passes (see Fused). It is
+// allocation-free at steady state on one worker: the log(Cj) table is the
+// embedded Parallel's scratch.
 func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
 	checkLayerStep(idx, act, ci, cj, cij, w, bias, hyper)
@@ -95,7 +65,7 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 
 	// Pass 1 — forward, sharded over the batch: support gather, bias,
 	// optional pre-drawn noise, per-HCU softmax, one visit per row.
-	if f.workers <= 1 {
+	if f.serial(len(idx)) {
 		f.forwardBand(act, idx, w, bias, hyper, 0, len(idx))
 	} else {
 		f.parallelFor(len(idx), func(lo, hi int) {
@@ -105,11 +75,12 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 
 	// Serial section — the per-unit vectors are tiny next to the matrices.
 	// ColMeans keeps the composed path's sequential summation order, so the
-	// float64 instantiation stays bit-identical to the kernel sequence.
+	// float64 instantiation stays bit-identical to the kernel sequence. The
+	// forward was bias's last reader and updateBias rewrites it whole, so it
+	// holds the batch-mean activation in between.
 	oneHotMeanLerp(ci, idx, t)
-	f.meanAct = growScratch(f.meanAct, units)
-	tensor.ColMeans(f.meanAct, act)
-	tensor.Lerp(cj, f.meanAct, T(t))
+	tensor.ColMeans(bias, act)
+	tensor.Lerp(cj, bias, T(t))
 	Homeostasis(hyper.Kbi, cj, hyper.Blocks.M, hyper.Taubdt, hyper.PMinFraction, hyper.Eps)
 	updateBias(bias, hyper.Kbi, cj, hyper.Eps)
 	f.logcj = growScratch(f.logcj, units)
@@ -118,13 +89,24 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	// Pass 2 — trace + weight refresh, sharded over Cij/W rows, blocked so a
 	// row block's decay, accumulation, and log-odds re-derivation all happen
 	// while the block is cache-resident.
-	if f.workers <= 1 {
+	if f.serial(cij.Rows) {
 		f.traceWeightBand(cij, w, act, idx, ci, hyper, 0, cij.Rows)
 	} else {
 		f.parallelFor(cij.Rows, func(lo, hi int) {
 			f.traceWeightBand(cij, w, act, idx, ci, hyper, lo, hi)
 		})
 	}
+}
+
+// UpdateWeights implements Kernels with the fused step's weight pass alone:
+// the log(Cj) table through logMaxSlice, then weightRowFromTrace per row. It
+// is bit-identical to the composed kernel at both precisions; at float64 its
+// logs run four lanes at a time.
+func (f *Fused[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
+	bi *tensor.BlockIndex, eps float64) {
+	f.logcj = growScratch(f.logcj, len(cj))
+	logMaxSlice(f.logcj, cj, T(eps))
+	f.weightPass(w, ci, cij, bi, eps, true)
 }
 
 // forwardBand computes act rows [lo,hi): support gather over the active
@@ -182,28 +164,16 @@ func Homeostasis[T tensor.Float](kbi, cj []T, m int, taubdt, pminFraction, eps f
 // rows, in row blocks sized so one block of each matrix fits in L2 together:
 // the freshly decayed-and-accumulated trace rows are consumed by the log-odds
 // recompute before they can fall out of cache. The arithmetic is exactly
-// oneHotOuterLerpRange over hyper.Trace followed by updateWeightsRange's
-// formula over the active blocks of hyper.Blocks, with the log(Cj) table
-// hoisted out (the composed kernel rebuilds it per call). Silent weight
-// blocks keep their zeros.
+// oneHotOuterLerpRange over hyper.Trace followed by the composed weight
+// refresh over the active blocks of hyper.Blocks, with the log(Cj) table
+// hoisted out of the band. Silent weight blocks keep their zeros.
 func (f *Fused[T]) traceWeightBand(cij, w, act *tensor.Dense[T], idx [][]int32,
 	ci []T, hyper LayerHyper[T], lo, hi int) {
-	epsT := T(hyper.Eps)
-	eps2 := epsT * epsT
-	logcj := f.logcj
-	bi, m := hyper.Blocks, hyper.Blocks.M
 	block := fusedBlockRows(cij.Cols, int(elemSize[T]()))
 	for b0 := lo; b0 < hi; b0 += block {
 		b1 := min(b0+block, hi)
 		oneHotOuterLerpRange(cij, idx, act, hyper.Taupdt, hyper.Trace, b0, b1)
-		for i := b0; i < b1; i++ {
-			logci := logT(max(ci[i], epsT))
-			crow, wrow := cij.Row(i), w.Row(i)
-			for _, h := range bi.Active(i / bi.Mi) {
-				o := int(h) * m
-				weightRowFromTrace(wrow[o:o+m], crow[o:o+m], logcj[o:o+m], logci, eps2)
-			}
-		}
+		updateWeightsRange(w, ci, f.logcj, cij, hyper.Blocks, hyper.Eps, true, b0, b1)
 	}
 }
 

@@ -93,41 +93,42 @@ func (s *layerState[T]) clone() *layerState[T] {
 	return &c
 }
 
-func (s *layerState[T]) step(st LayerStepper[T]) {
-	st.LayerStep(s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.hyp)
+func (s *layerState[T]) step(k Kernels[T]) {
+	k.LayerStep(s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.hyp)
 }
 
-// composedStep drives the same batch update through the composed kernel
-// sequence, in exactly the order core's TrainBatch issues it. The
-// homeostasis reference is written independently (float64 throughout) so the
-// comparison does not share code with the fused implementation.
-func composedStep[T tensor.Float](be Kernels[T], s *layerState[T]) {
-	t, bi := s.hyp.Taupdt, s.hyp.Blocks
-	units := bi.H * bi.M
-	be.OneHotMatMul(s.act, s.idx, s.w, bi)
-	be.AddBias(s.act, s.bias)
-	if s.hyp.Noise != nil {
-		for i, v := range s.hyp.Noise {
-			s.act.Data[i] += v
-		}
+// composed drives the same batch update through ComposedStep on k.
+func (s *layerState[T]) composed(k Kernels[T]) {
+	ComposedStep(k, s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.hyp)
+}
+
+// TestHomeostasisMatchesReference checks the one gain rule every step runs
+// against an independent float64 transcription of it, over units on both
+// sides of the starvation threshold.
+func TestHomeostasisMatchesReference(t *testing.T) {
+	const m, taubdt, pminFr, eps = 5, 0.02, 0.5, 1e-9
+	rng := rand.New(rand.NewSource(4))
+	cj := make([]float64, 40)
+	kbi := make([]float64, len(cj))
+	for j := range cj {
+		cj[j] = rng.Float64() * 0.2 // pmin = 0.1: about half starved
+		kbi[j] = 1 + 0.2*rng.Float64()
 	}
-	be.SoftmaxGroups(s.act, bi.H, bi.M, s.hyp.Temperature)
-	be.OneHotMeanLerp(s.ci, s.idx, t)
-	mean := make([]T, units)
-	tensor.ColMeans(mean, s.act)
-	be.Lerp(s.cj, mean, t)
-	be.OneHotOuterLerp(s.cij, s.idx, s.act, t, s.hyp.Trace)
-	fair := math.Log(1 / float64(bi.M))
-	pmin := s.hyp.PMinFraction / float64(bi.M)
-	for j, v := range s.cj {
+	want := append([]float64(nil), kbi...)
+	fair, pmin := math.Log(1/float64(m)), pminFr/float64(m)
+	for j, v := range cj {
 		target := 1.0
-		if float64(v) < pmin {
-			target = fair / math.Log(math.Max(float64(v), s.hyp.Eps))
+		if v < pmin {
+			target = fair / math.Log(math.Max(v, eps))
 		}
-		s.hyp.Kbi[j] = T((1-s.hyp.Taubdt)*float64(s.hyp.Kbi[j]) + s.hyp.Taubdt*target)
+		want[j] = (1-taubdt)*want[j] + taubdt*target
 	}
-	be.UpdateWeights(s.w, s.ci, s.cj, s.cij, bi, s.hyp.Eps)
-	be.UpdateBias(s.bias, s.hyp.Kbi, s.cj, s.hyp.Eps)
+	Homeostasis(kbi, cj, m, taubdt, pminFr, eps)
+	for j := range kbi {
+		if kbi[j] != want[j] {
+			t.Fatalf("unit %d: kbi %v, want %v", j, kbi[j], want[j])
+		}
+	}
 }
 
 func maxSliceDiff[T tensor.Float](a, b []T) float64 {
@@ -150,10 +151,10 @@ func (s *layerState[T]) maxDiff(o *layerState[T]) float64 {
 	return math.Max(d, maxSliceDiff(s.hyp.Kbi, o.hyp.Kbi))
 }
 
-// TestFusedMatchesComposed is the fused ≡ composed property test: one
-// LayerStep must equal the composed kernel sequence over every batch shape,
-// masked and unmasked, noisy and noise-free, at both precisions and at both
-// serial and parallel worker counts.
+// TestFusedMatchesComposed is the fused ≡ composed property test: one fused
+// LayerStep must equal ComposedStep over every batch shape, masked and
+// unmasked, noisy and noise-free, at both precisions and at both serial and
+// parallel worker counts — bit for bit at float64.
 func TestFusedMatchesComposed(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	run := func(t *testing.T, check func(t *testing.T, seed int64, batch, workers int, masked, noisy bool)) {
@@ -174,8 +175,8 @@ func TestFusedMatchesComposed(t *testing.T) {
 			fusedS := newLayerState[float64](rand.New(rand.NewSource(seed)), batch, masked, noisy)
 			composedS := fusedS.clone()
 			fusedS.step(NewFused(workers))
-			composedStep[float64](MustNew("naive", 0), composedS)
-			if d := fusedS.maxDiff(composedS); d > 1e-12 {
+			composedS.composed(MustNew("naive", 0))
+			if d := fusedS.maxDiff(composedS); d != 0 {
 				t.Fatalf("seed %d batch %d workers %d masked %v noisy %v: fused diverges by %g",
 					seed, batch, workers, masked, noisy, d)
 			}
@@ -186,7 +187,7 @@ func TestFusedMatchesComposed(t *testing.T) {
 			fusedS := newLayerState[float32](rand.New(rand.NewSource(seed)), batch, masked, noisy)
 			composedS := fusedS.clone()
 			fusedS.step(NewFusedOf[float32](workers))
-			composedStep[float32](MustNew32("naive", 0), composedS)
+			composedS.composed(MustNew32("naive", 0))
 			if d := fusedS.maxDiff(composedS); d > 1e-5 {
 				t.Fatalf("seed %d batch %d workers %d masked %v noisy %v: fused diverges by %g",
 					seed, batch, workers, masked, noisy, d)
@@ -195,74 +196,49 @@ func TestFusedMatchesComposed(t *testing.T) {
 	})
 }
 
-// TestLayerStepperConformance runs every registered backend that advertises
-// the whole-layer offload capability against its own composed kernel
-// sequence — the capability contract: LayerStep computes the same function
-// the backend's composed kernels do (for fpgasim that includes the posit
-// parameter quantization, which both paths apply identically).
+// TestLayerStepperConformance runs every registered backend's LayerStep
+// against ComposedStep over the same backend's kernels — the contract: a
+// backend's one-call step computes the function its kernels compose (for
+// fpgasim that includes the posit parameter quantization, which both paths
+// apply identically).
 func TestLayerStepperConformance(t *testing.T) {
 	for _, name := range Names() {
-		be := MustNew(name, 3)
-		st, ok := be.(LayerStepper[float64])
-		if !ok {
-			continue
-		}
 		t.Run(name+"/f64", func(t *testing.T) {
-			fusedS := newLayerState[float64](rand.New(rand.NewSource(17)), 9, true, false)
-			composedS := fusedS.clone()
-			fusedS.step(st)
-			composedStep[float64](MustNew(name, 3), composedS)
-			if d := fusedS.maxDiff(composedS); d > 1e-12 {
+			stepS := newLayerState[float64](rand.New(rand.NewSource(17)), 9, true, false)
+			composedS := stepS.clone()
+			stepS.step(MustNew(name, 3))
+			composedS.composed(MustNew(name, 3))
+			if d := stepS.maxDiff(composedS); d != 0 {
 				t.Fatalf("%s LayerStep diverges from its composed sequence by %g", name, d)
 			}
 		})
 	}
 	for _, name := range Names32() {
-		be := MustNew32(name, 3)
-		st, ok := be.(LayerStepper[float32])
-		if !ok {
-			continue
-		}
 		t.Run(name+"/f32", func(t *testing.T) {
-			fusedS := newLayerState[float32](rand.New(rand.NewSource(17)), 9, true, false)
-			composedS := fusedS.clone()
-			fusedS.step(st)
-			composedStep[float32](MustNew32(name, 3), composedS)
-			if d := fusedS.maxDiff(composedS); d > 1e-5 {
+			stepS := newLayerState[float32](rand.New(rand.NewSource(17)), 9, true, false)
+			composedS := stepS.clone()
+			stepS.step(MustNew32(name, 3))
+			composedS.composed(MustNew32(name, 3))
+			if d := stepS.maxDiff(composedS); d > 1e-5 {
 				t.Fatalf("%s LayerStep diverges from its composed sequence by %g", name, d)
 			}
 		})
-	}
-}
-
-// TestFusedBackendsImplementLayerStepper pins which registered backends
-// advertise the capability at each precision.
-func TestFusedBackendsImplementLayerStepper(t *testing.T) {
-	want64 := map[string]bool{"fused": true, "gpusim": true, "fpgasim": true}
-	for _, name := range Names() {
-		_, ok := MustNew(name, 1).(LayerStepper[float64])
-		if ok != want64[name] {
-			t.Errorf("%s LayerStepper[float64] = %v, want %v", name, ok, want64[name])
-		}
-	}
-	want32 := map[string]bool{"fused": true, "gpusim": true}
-	for _, name := range Names32() {
-		_, ok := MustNew32(name, 1).(LayerStepper[float32])
-		if ok != want32[name] {
-			t.Errorf("%s LayerStepper[float32] = %v, want %v", name, ok, want32[name])
-		}
 	}
 }
 
 // TestFusedLayerStepShapeChecks: a malformed operand set must panic, not
-// corrupt memory.
+// corrupt memory, on the fused and on the composed step.
 func TestFusedLayerStepShapeChecks(t *testing.T) {
-	s := newLayerState[float64](rand.New(rand.NewSource(1)), 4, false, false)
-	s.act = tensor.NewDense[float64](3, s.w.Cols) // batch mismatch
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on act shape mismatch")
-		}
-	}()
-	s.step(NewFused(1))
+	for _, be := range []Backend{NewFused(1), MustNew("naive", 1)} {
+		s := newLayerState[float64](rand.New(rand.NewSource(1)), 4, false, false)
+		s.act = tensor.NewDense[float64](3, s.w.Cols) // batch mismatch
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic on act shape mismatch", be.Name())
+				}
+			}()
+			s.step(be)
+		}()
+	}
 }

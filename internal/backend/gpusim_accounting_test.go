@@ -188,7 +188,7 @@ func TestGPUSimFusedLayerStepAccounting(t *testing.T) {
 	// more launches and more index upload traffic — the quantitative offload
 	// argument the fused path exists for.
 	g.ResetStats()
-	composedStep[float64](g, s)
+	s.composed(g)
 	cs := g.Stats()
 	if cs.KernelLaunches <= 1 {
 		t.Fatalf("composed sequence launches = %d, want > 1", cs.KernelLaunches)

@@ -2,33 +2,23 @@ package backend
 
 import "streambrain/internal/tensor"
 
-// This file defines the whole-layer offload capability (DESIGN.md §14) — the
-// Go analogue of StreamBrain's `full_cuda` backend, which ships entire layer
-// updates to the device instead of issuing the six-plus kernel calls the
-// composed training step needs. A backend that can run the complete
-// support→softmax→trace→homeostasis→weight-update sequence as one pass
-// advertises it by implementing LayerStepper; the trainer type-asserts and
-// dispatches, and falls back to the composed kernel sequence otherwise. The
-// composed sequence therefore stays the contract: LayerStep must compute the
-// same function (see the fused≡composed property tests for the tolerance).
+// This file defines the one training step every backend runs as
+// Kernels.LayerStep (DESIGN.md §14) — the analogue of StreamBrain's
+// `full_cuda` whole-layer call.
 
-// LayerHyper carries the per-step schedule of a fused layer step: the scalar
-// hyperparameters of the composed sequence, the two batch-varying vectors
-// that the composed path threads through core instead of the kernel calls,
-// and the block indexes the composed kernels take.
+// LayerHyper carries the per-step schedule of a layer step: the scalar
+// hyperparameters, the two batch-varying vectors the step reads or rewrites,
+// and the block indexes the kernels take.
 //
 // Kbi is the homeostatic bias gain (length H·M). LayerStep applies the
-// floored-bias homeostasis rule in-pass — Kbi is read AND rewritten — because
-// the composed order (trace update → homeostasis → bias refresh) is only
-// reproducible if the gain update happens between the Cj update and the bias
-// recompute.
+// floored-bias homeostasis rule in-pass — Kbi is read AND rewritten —
+// between the Cj update and the bias recompute.
 //
-// Noise, when non-nil, is the pre-generated support noise of this batch
+// Noise, when non-nil, is the pre-drawn support noise of this batch
 // (row-major batch×H·M, added to the support after the bias and before the
-// softmax). The composed path draws it inline from the layer RNG; a fused
-// step cannot, because worker sharding would make draw order — and therefore
-// training — nondeterministic. The caller draws in row-major order and the
-// step adds, which reproduces the composed values exactly. Nil means no
+// softmax). A fused step cannot draw it inline, because worker sharding
+// would make draw order — and therefore training — nondeterministic; so
+// every caller draws in row-major order and every step adds. Nil means no
 // support noise (prediction-noise-free batches, the steady state).
 type LayerHyper[T tensor.Float] struct {
 	Taupdt       float64 // trace EMA rate
@@ -52,26 +42,61 @@ type LayerHyper[T tensor.Float] struct {
 	Trace *tensor.BlockIndex
 }
 
-// LayerStepper is the optional whole-layer offload capability. LayerStep
-// performs one complete unsupervised BCPNN batch step:
+// ComposedStep runs one unsupervised BCPNN batch step as the kernel
+// sequence of k — naive's and parallel's LayerStep, and the reference every
+// fused step must reproduce (bit for bit at float64):
 //
 //	act  = softmax_groups(onehot(idx)·w + bias [+ noise])   (forward)
 //	ci   = lerp(ci,  mean_s onehot(idx))                    (input trace)
 //	cj   = lerp(cj,  colmeans(act))                         (unit trace)
 //	cij  = lerp(cij, mean_s onehot(idx) ⊗ act)              (joint trace)
 //	kbi  = homeostasis(kbi, cj)                             (gain update)
-//	w    = log-odds(ci, cj, cij) over active blocks         (in-pass refresh)
-//	bias = kbi · log(max(cj, eps))                          (in-pass refresh)
-//
-// equivalent to the composed kernel sequence but in as few passes as the
-// implementation can manage: the fused CPU backend walks Cij and W once in
-// cache-sized row blocks, the offload simulators charge one kernel launch for
-// the whole step. act is an output (the trainer's scratch activation buffer,
-// batch×H·M); all other buffers are read-write model state.
-//
-// Implementations may keep internal scratch — LayerStep, like every Kernels
-// method, is never called concurrently on one backend value.
-type LayerStepper[T tensor.Float] interface {
-	LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T, cij, w *tensor.Dense[T],
-		bias []T, hyper LayerHyper[T])
+//	w    = log-odds(ci, cj, cij) over active blocks         (refresh)
+//	bias = kbi · log(max(cj, eps))                          (refresh)
+func ComposedStep[T tensor.Float](k Kernels[T], idx [][]int32, act *tensor.Dense[T], ci, cj []T,
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	checkLayerStep(idx, act, ci, cj, cij, w, bias, hyper)
+	bi, t := hyper.Blocks, hyper.Taupdt
+	k.OneHotMatMul(act, idx, w, bi)
+	k.AddBias(act, bias)
+	if hyper.Noise != nil {
+		tensor.Add(act.Data, hyper.Noise)
+	}
+	k.SoftmaxGroups(act, bi.H, bi.M, hyper.Temperature)
+	k.OneHotMeanLerp(ci, idx, t)
+	mean := make([]T, len(cj))
+	tensor.ColMeans(mean, act)
+	k.Lerp(cj, mean, t)
+	k.OneHotOuterLerp(cij, idx, act, t, hyper.Trace)
+	Homeostasis(hyper.Kbi, cj, bi.M, hyper.Taubdt, hyper.PMinFraction, hyper.Eps)
+	k.UpdateWeights(w, ci, cj, cij, bi, hyper.Eps)
+	k.UpdateBias(bias, hyper.Kbi, cj, hyper.Eps)
+}
+
+// checkLayerStep validates every shape of a layer step against the geometry
+// of hyper.Blocks, so the blocked passes can index without per-element
+// checks.
+func checkLayerStep[T tensor.Float](idx [][]int32, act *tensor.Dense[T], ci, cj []T,
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	bi := hyper.Blocks
+	if bi == nil {
+		panic("backend: LayerStep needs hyper.Blocks")
+	}
+	in, units := bi.Fi*bi.Mi, bi.H*bi.M
+	if act.Rows != len(idx) || act.Cols != units {
+		panic("backend: LayerStep act shape mismatch")
+	}
+	if w.Rows != in || w.Cols != units || cij.Rows != in || cij.Cols != units {
+		panic("backend: LayerStep W/Cij shape mismatch")
+	}
+	if len(ci) != in || len(cj) != units || len(bias) != units || len(hyper.Kbi) != units {
+		panic("backend: LayerStep vector length mismatch")
+	}
+	if hyper.Noise != nil && len(hyper.Noise) != len(idx)*units {
+		panic("backend: LayerStep noise length mismatch")
+	}
+	if tr := hyper.Trace; tr != nil &&
+		(tr.Fi != bi.Fi || tr.Mi != bi.Mi || tr.H != bi.H || tr.M != bi.M) {
+		panic("backend: LayerStep trace-index geometry mismatch")
+	}
 }

@@ -173,7 +173,7 @@ func (*Naive[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense
 	bi *tensor.BlockIndex, eps float64) {
 	logcj := make([]T, len(cj))
 	logMaxCols(logcj, cj, eps)
-	updateWeightsRange(w, ci, logcj, cij, bi, eps, 0, w.Rows)
+	updateWeightsRange(w, ci, logcj, cij, bi, eps, false, 0, w.Rows)
 }
 
 // logMaxCols fills logcj with log(max(cj,eps)), computed once per column
@@ -186,14 +186,15 @@ func logMaxCols[T tensor.Float](logcj, cj []T, eps float64) {
 }
 
 // updateWeightsRange recomputes w rows [r0,r1) from the traces, given
-// logcj = logMaxCols(cj): every element for nil bi, otherwise only the
+// logcj = log(max(cj,eps)): every element for nil bi, otherwise only the
 // active blocks (silent blocks are not written; the caller keeps them at
-// zero).
+// zero). Each row or block segment goes through logOdds, or through the
+// fused backend's bit-identical four-lane weightRowFromTrace when fast.
 //
 // Row i of w corresponds to input unit i, living in input hypercolumn
 // i/Mi. Column j corresponds to hidden unit j in hypercolumn j/M.
 func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, logcj []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64, r0, r1 int) {
+	bi *tensor.BlockIndex, eps float64, fast bool, r0, r1 int) {
 	if w.Rows != cij.Rows || w.Cols != cij.Cols {
 		panic("backend: UpdateWeights shape mismatch")
 	}
@@ -205,16 +206,20 @@ func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, logcj []T, cij *
 	}
 	epsT := T(eps)
 	eps2 := epsT * epsT
+	row := logOdds[T]
+	if fast {
+		row = weightRowFromTrace[T]
+	}
 	for i := r0; i < r1; i++ {
 		logci := logT(max(ci[i], epsT))
 		crow, wrow := cij.Row(i), w.Row(i)
 		if bi == nil {
-			logOdds(wrow, crow, logcj, logci, eps2)
+			row(wrow, crow, logcj, logci, eps2)
 			continue
 		}
 		for _, h := range bi.Active(i / bi.Mi) {
 			o, e := int(h)*bi.M, (int(h)+1)*bi.M
-			logOdds(wrow[o:e], crow[o:e], logcj[o:e], logci, eps2)
+			row(wrow[o:e], crow[o:e], logcj[o:e], logci, eps2)
 		}
 	}
 }
@@ -230,6 +235,12 @@ func logOdds[T tensor.Float](wrow, crow, logcj []T, logci, eps2 T) {
 // UpdateBias implements Kernels.
 func (*Naive[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 	updateBias(bias, kbi, cj, eps)
+}
+
+// LayerStep implements Kernels as the composed kernel sequence.
+func (n *Naive[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	ComposedStep[T](n, idx, act, ci, cj, cij, w, bias, hyper)
 }
 
 func updateBias[T tensor.Float](bias, kbi, cj []T, eps float64) {

@@ -19,9 +19,8 @@ func init() {
 // instantiation processes twice the lanes per instruction.
 type Parallel[T tensor.Float] struct {
 	workers int
-	block   int
 	// logcj is UpdateWeights' scratch, grown on first use and shared with
-	// Fused.LayerStep (calls are never concurrent on one backend value).
+	// the embedding Fused (calls are never concurrent on one backend value).
 	logcj []T // log(max(cj,eps)) shared by every weight row (units)
 }
 
@@ -34,11 +33,8 @@ func NewParallelOf[T tensor.Float](workers int) *Parallel[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Parallel[T]{workers: workers, block: tensor.DefaultBlock}
+	return &Parallel[T]{workers: workers}
 }
-
-// SetBlock overrides the GEMM cache-block edge (for the blocking ablation).
-func (p *Parallel[T]) SetBlock(block int) { p.block = block }
 
 // Name implements Kernels.
 func (p *Parallel[T]) Name() string { return "parallel" }
@@ -88,7 +84,7 @@ func (p *Parallel[T]) parallelFor(n int, fn func(lo, hi int)) {
 
 // MatMul implements Kernels.
 func (p *Parallel[T]) MatMul(dst, a, b *tensor.Dense[T]) {
-	tensor.MatMulParallel(dst, a, b, p.block, p.workers)
+	tensor.MatMulParallel(dst, a, b, tensor.DefaultBlock, p.workers)
 }
 
 // OneHotMatMul implements Kernels.
@@ -153,17 +149,30 @@ func (p *Parallel[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.
 	bi *tensor.BlockIndex, eps float64) {
 	p.logcj = growScratch(p.logcj, len(cj))
 	logMaxCols(p.logcj, cj, eps)
+	p.weightPass(w, ci, cij, bi, eps, false)
+}
+
+// weightPass re-derives W against the log(Cj) table in p.logcj, sharded by
+// row band; fast selects the fused row routine (see updateWeightsRange).
+func (p *Parallel[T]) weightPass(w *tensor.Dense[T], ci []T, cij *tensor.Dense[T],
+	bi *tensor.BlockIndex, eps float64, fast bool) {
 	logcj := p.logcj
 	if p.serial(w.Rows) {
-		updateWeightsRange(w, ci, logcj, cij, bi, eps, 0, w.Rows)
+		updateWeightsRange(w, ci, logcj, cij, bi, eps, fast, 0, w.Rows)
 		return
 	}
 	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsRange(w, ci, logcj, cij, bi, eps, lo, hi)
+		updateWeightsRange(w, ci, logcj, cij, bi, eps, fast, lo, hi)
 	})
 }
 
 // UpdateBias implements Kernels.
 func (p *Parallel[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 	updateBias(bias, kbi, cj, eps)
+}
+
+// LayerStep implements Kernels as the composed kernel sequence.
+func (p *Parallel[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	ComposedStep[T](p, idx, act, ci, cj, cij, w, bias, hyper)
 }

@@ -168,7 +168,7 @@ func (s *sim[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 	s.dev.UpdateBias(bias, kbi, cj, eps)
 }
 
-// LayerStep implements LayerStepper: the whole-layer offload as one launch.
+// LayerStep implements Kernels: the whole-layer offload as one launch.
 // The model state is read and written in place — W in the receptive
 // field's panels, Cij in the trace index's, the short vectors whole — and
 // the pre-drawn noise is read; the activations are device scratch, never

@@ -23,9 +23,9 @@ func simState[T tensor.Float](sparse, noisy bool) *layerState[T] {
 // the same step, and the two kernels the composed step does not issue — so
 // every kernel's launch description reaches the ledger.
 func driveSim[T tensor.Float](be Kernels[T], s *layerState[T], mark func()) {
-	s.step(be.(LayerStepper[T]))
+	s.step(be)
 	mark()
-	composedStep(be, s)
+	s.composed(be)
 	x := tensor.NewDense[T](s.act.Rows, s.w.Rows)
 	for i := range x.Data {
 		x.Data[i] = T(i%7) / 7
@@ -159,7 +159,7 @@ func TestGPUSimChargesAllocateNothing(t *testing.T) {
 		bi, mean, x := s.hyp.Blocks, make([]float64, len(s.cj)), s.act.Clone()
 		sq := tensor.NewMatrix(s.act.Cols, s.act.Cols)
 		calls := map[string]func(be Backend){
-			"LayerStep":       func(be Backend) { s.step(be.(LayerStepper[float64])) },
+			"LayerStep":       func(be Backend) { s.step(be) },
 			"MatMul":          func(be Backend) { be.MatMul(x, s.act, sq) },
 			"OuterLerp":       func(be Backend) { be.OuterLerp(sq, s.act, s.act, 0.1) },
 			"OneHotMatMul":    func(be Backend) { be.OneHotMatMul(s.act, s.idx, s.w, bi) },

@@ -11,9 +11,9 @@ import (
 
 // sparseCandidates64 is the float64 kernel-set matrix the equivalence
 // harness exercises: serial and parallel worker teams, the fused backend
-// through both its composed kernels and its whole-layer LayerStep, and the
-// GPU simulator (whose compute is the parallel/fused kernels plus the
-// transfer ledger).
+// through both ComposedStep over its kernels and its own LayerStep, and the
+// GPU simulator (whose compute is the fused kernels plus the transfer
+// ledger) the same two ways.
 func sparseCandidates64() []backendtest.Candidate[float64] {
 	var cs []backendtest.Candidate[float64]
 	for _, w := range []int{1, 4} {
@@ -22,19 +22,13 @@ func sparseCandidates64() []backendtest.Candidate[float64] {
 				Name: fmt.Sprintf("parallel-%d", w), Kernels: backend.MustNew("parallel", w)},
 			backendtest.Candidate[float64]{
 				Name: fmt.Sprintf("fused-%d", w), Kernels: backend.MustNew("fused", w)},
+			backendtest.Candidate[float64]{
+				Name: fmt.Sprintf("fused-%d-step", w), Kernels: backend.MustNew("fused", w), Step: true},
 		)
-		st := backend.MustNew("fused", w)
-		cs = append(cs, backendtest.Candidate[float64]{
-			Name: fmt.Sprintf("fused-%d-step", w), Kernels: st,
-			Stepper: st.(backend.LayerStepper[float64])})
 	}
-	cs = append(cs, backendtest.Candidate[float64]{
-		Name: "gpusim-4", Kernels: backend.MustNew("gpusim", 4)})
-	gst := backend.MustNew("gpusim", 4)
-	cs = append(cs, backendtest.Candidate[float64]{
-		Name: "gpusim-4-step", Kernels: gst,
-		Stepper: gst.(backend.LayerStepper[float64])})
-	return cs
+	return append(cs,
+		backendtest.Candidate[float64]{Name: "gpusim-4", Kernels: backend.MustNew("gpusim", 4)},
+		backendtest.Candidate[float64]{Name: "gpusim-4-step", Kernels: backend.MustNew("gpusim", 4), Step: true})
 }
 
 func sparseCandidates32() []backendtest.Candidate[float32] {
@@ -45,11 +39,9 @@ func sparseCandidates32() []backendtest.Candidate[float32] {
 				Name: fmt.Sprintf("parallel-%d", w), Kernels: backend.MustNew32("parallel", w)},
 			backendtest.Candidate[float32]{
 				Name: fmt.Sprintf("fused-%d", w), Kernels: backend.MustNew32("fused", w)},
+			backendtest.Candidate[float32]{
+				Name: fmt.Sprintf("fused-%d-step", w), Kernels: backend.MustNew32("fused", w), Step: true},
 		)
-		st := backend.MustNew32("fused", w)
-		cs = append(cs, backendtest.Candidate[float32]{
-			Name: fmt.Sprintf("fused-%d-step", w), Kernels: st,
-			Stepper: st.(backend.LayerStepper[float32])})
 	}
 	return cs
 }

@@ -501,3 +501,34 @@ func TestAdaptiveSettersClamp(t *testing.T) {
 		t.Fatal("margin setter ignored")
 	}
 }
+
+// TestTrainBatchIntoReturnsPreStepForward: on every float64 backend a
+// noise-free step returns true and hands back, bit for bit, the activations
+// Forward computes on the parameters before the step; a noisy step returns
+// false.
+func TestTrainBatchIntoReturnsPreStepForward(t *testing.T) {
+	for _, name := range backend.Names() {
+		rng := rand.New(rand.NewSource(3))
+		train := synthEncoded(rng, 64, 10, 4, []int{1, 4}, 0.15)
+		l := NewHiddenLayer(backend.MustNew(name, 2), 10, 4, smallParams(), rng)
+		l.InitTracesFromData(train.Idx)
+		idx := train.Idx[:16]
+		want := tensor.NewMatrix(len(idx), l.Units())
+		got := tensor.NewMatrix(len(idx), l.Units())
+		for step := 0; step < 3; step++ {
+			l.Forward(idx, want)
+			if !l.TrainBatchInto(idx, got) {
+				t.Fatalf("%s step %d: noise-free TrainBatchInto returned false", name, step)
+			}
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%s step %d: act[%d] = %v, pre-step Forward %v", name, step, i, got.Data[i], v)
+				}
+			}
+		}
+		l.SetNoise(0.1)
+		if l.TrainBatchInto(idx, got) {
+			t.Errorf("%s: noisy TrainBatchInto returned true", name)
+		}
+	}
+}

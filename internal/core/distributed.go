@@ -172,13 +172,11 @@ func TrainRank(c *mpi.Comm, n *Network, shard *data.Encoded,
 		// instead of deadlocking.
 		for b := 0; b < nBatches; b++ {
 			if b < len(batches) {
-				// TrainBatch dispatches fused on LayerStepper backends
-				// (DESIGN.md §14), so distributed training inherits the
-				// whole-layer offload per local batch. Only the
-				// post-allreduce refresh below must stay composed: it
-				// re-derives parameters from the merged traces without
-				// advancing them, which is exactly what refreshParameters
-				// (and not a LayerStep) computes.
+				// One LayerStep per local batch (DESIGN.md §14). The
+				// post-allreduce refresh below re-derives W and Bias from
+				// the merged traces without advancing them, which is what
+				// refreshParameters (and not a LayerStep) computes; on
+				// fused its weight pass is the step's own row routine.
 				n.Hidden.TrainBatch(batches[b])
 			}
 			if (b+1)%mergeEvery == 0 {

@@ -19,16 +19,9 @@ type HiddenLayer struct {
 
 	// be32 is the float32 kernel set, non-nil only when Params.Precision
 	// selects the reduced-precision compute path (DESIGN.md §9). Forward
-	// passes then run at half width while every trace below stays float64.
+	// passes outside training then run at half width; the training step,
+	// like every trace below, stays float64.
 	be32 backend.Backend32
-
-	// step is the whole-layer offload capability (DESIGN.md §14), non-nil
-	// when the backend implements backend.LayerStepper[float64]. TrainBatch
-	// then ships the complete batch update as one fused call instead of the
-	// composed kernel sequence. Traces are float64, so dispatch is float64-
-	// only: on the float32 path a fused step trains at full width in-pass and
-	// the lazy sync32 rebuild covers prediction.
-	step backend.LayerStepper[float64]
 
 	// Input geometry: Fi input hypercolumns of Mi units each.
 	Fi, Mi int
@@ -84,8 +77,7 @@ type HiddenLayer struct {
 	// scratch reused across batches to keep the hot loop allocation-free.
 	pool     *tensor.Pool
 	pool32   *tensor.PoolOf[float32]
-	meanAct  []float64
-	noiseBuf []float64 // pre-drawn support noise for the fused step
+	noiseBuf []float64 // pre-drawn support noise of the training step
 }
 
 // NewHiddenLayer builds a hidden layer for inputs of fi hypercolumns × mi
@@ -101,22 +93,17 @@ func NewHiddenLayer(be backend.Backend, fi, mi int, p Params, rng *rand.Rand) *H
 	in, units := fi*mi, h*m
 	l := &HiddenLayer{
 		be: be, Fi: fi, Mi: mi, H: h, M: m,
-		W:       tensor.NewMatrix(in, units),
-		Bias:    make([]float64, units),
-		Kbi:     make([]float64, units),
-		Ci:      make([]float64, in),
-		Cj:      make([]float64, units),
-		Cij:     tensor.NewMatrix(in, units),
-		p:       p,
-		rng:     rng,
-		sparse:  p.SparseCompute,
-		pool:    tensor.NewPool(),
-		meanAct: make([]float64, units),
+		W:      tensor.NewMatrix(in, units),
+		Bias:   make([]float64, units),
+		Kbi:    make([]float64, units),
+		Ci:     make([]float64, in),
+		Cj:     make([]float64, units),
+		Cij:    tensor.NewMatrix(in, units),
+		p:      p,
+		rng:    rng,
+		sparse: p.SparseCompute,
+		pool:   tensor.NewPool(),
 	}
-	// Whole-layer offload is a capability, not a registry entry: any backend
-	// that implements LayerStepper (fused, gpusim, fpgasim) gets the fused
-	// training dispatch; everything else keeps the composed kernel sequence.
-	l.step, _ = be.(backend.LayerStepper[float64])
 	if p.Precision.Is32() {
 		// A backend that models shared device state (gpusim) hands out its
 		// own float32 companion so both precisions account against one
@@ -267,12 +254,11 @@ func (l *HiddenLayer) Units() int { return l.H * l.M }
 func (l *HiddenLayer) Inputs() int { return l.Fi * l.Mi }
 
 // refreshParameters recomputes the active blocks of W, and Bias, from the
-// traces. On the composed training path it runs after every trace update; on
-// the fused path (DESIGN.md §14) LayerStep produces W and Bias in-pass and
-// this is needed only where parameters must be re-derived without advancing
-// the traces — construction, trace re-seeding, trace merges and mask
-// changes. On the float32 path the down-cast images go stale and are rebuilt
-// lazily by sync32.
+// traces. LayerStep produces both in-pass (DESIGN.md §14), so this runs only
+// where parameters must be re-derived without advancing the traces —
+// construction, trace re-seeding, trace merges and mask changes. On the
+// float32 path the down-cast images go stale and are rebuilt lazily by
+// sync32.
 func (l *HiddenLayer) refreshParameters() {
 	l.be.UpdateWeights(l.W, l.Ci, l.Cj, l.Cij, l.blocks, l.p.Eps)
 	l.be.UpdateBias(l.Bias, l.Kbi, l.Cj, l.p.Eps)
@@ -304,7 +290,20 @@ func (l *HiddenLayer) sync32() {
 // then per-HCU softmax. Forward is deterministic; only training adds support
 // noise. On the float32 path the support, bias add and softmax run on the
 // float32 kernel set and only the finished activations are up-cast.
-func (l *HiddenLayer) Forward(idx [][]int32, out *tensor.Matrix) { l.forward(idx, out, false) }
+func (l *HiddenLayer) Forward(idx [][]int32, out *tensor.Matrix) {
+	if out.Rows != len(idx) || out.Cols != l.Units() {
+		panic("core: Forward output shape mismatch")
+	}
+	if l.be32 == nil {
+		forwardOn(l, l.be, l.W, l.Bias, idx, out)
+		return
+	}
+	act32 := l.pool32.Get(len(idx), l.Units())
+	l.sync32()
+	forwardOn(l, l.be32, l.w32, l.bias32, idx, act32)
+	tensor.CastInto(out, act32, nil)
+	l.pool32.Put(act32)
+}
 
 // Forward32 is the reduced-precision forward pass, writing float32
 // activations directly (no up-cast). It panics unless the layer was built
@@ -317,59 +316,34 @@ func (l *HiddenLayer) Forward32(idx [][]int32, out *tensor.Matrix32) {
 		panic("core: Forward32 output shape mismatch")
 	}
 	l.sync32()
-	forwardOn(l, l.be32, l.w32, l.bias32, idx, out, false)
-}
-
-// forward is Forward, plus the annealed symmetry-breaking support noise when
-// noisy. The float32 path injects the noise at float32 before its softmax,
-// keeping the whole support computation at reduced precision.
-func (l *HiddenLayer) forward(idx [][]int32, out *tensor.Matrix, noisy bool) {
-	if out.Rows != len(idx) || out.Cols != l.Units() {
-		panic("core: Forward output shape mismatch")
-	}
-	if l.be32 == nil {
-		forwardOn(l, l.be, l.W, l.Bias, idx, out, noisy)
-		return
-	}
-	act32 := l.pool32.Get(len(idx), l.Units())
-	l.sync32()
-	forwardOn(l, l.be32, l.w32, l.bias32, idx, act32, noisy)
-	tensor.CastInto(out, act32, nil)
-	l.pool32.Put(act32)
+	forwardOn(l, l.be32, l.w32, l.bias32, idx, out)
 }
 
 // forwardOn is the one forward implementation, at either precision.
 func forwardOn[T tensor.Float](l *HiddenLayer, be backend.Kernels[T], w *tensor.Dense[T],
-	bias []T, idx [][]int32, out *tensor.Dense[T], noisy bool) {
+	bias []T, idx [][]int32, out *tensor.Dense[T]) {
 	be.OneHotMatMul(out, idx, w, l.blocks)
 	be.AddBias(out, bias)
-	if noisy && l.noiseStd > 0 {
-		for i := range out.Data {
-			out.Data[i] += T(l.noiseStd * l.rng.NormFloat64())
-		}
-	}
 	be.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
 }
 
 // SetNoise sets the support-noise standard deviation used by TrainBatch.
 func (l *HiddenLayer) SetNoise(std float64) { l.noiseStd = std }
 
-// TrainBatch performs one unsupervised BCPNN step on a mini-batch:
-// noisy forward pass (see SetNoise), trace update, homeostasis, parameter
-// refresh. On a LayerStepper backend the whole step is one fused call
-// (DESIGN.md §14); otherwise it is the composed kernel sequence.
+// TrainBatch performs one unsupervised BCPNN step on a mini-batch — noisy
+// forward pass (see SetNoise), trace update, homeostasis, parameter refresh
+// — as one backend LayerStep (DESIGN.md §14).
 func (l *HiddenLayer) TrainBatch(idx [][]int32) {
 	act := l.pool.Get(len(idx), l.Units())
 	l.trainBatchInto(idx, act)
 	l.pool.Put(act)
 }
 
-// TrainBatchInto is TrainBatch exposing the training activations: when the
-// step ran fused with no support noise it fills act (batch × H·M) with the
-// batch's forward activations — computed in-pass against the pre-update
-// parameters — and returns true, letting streaming callers skip a second
-// forward pass. It returns false when the activations are not reusable
-// (composed path, or noise was injected); act contents are then undefined.
+// TrainBatchInto is TrainBatch exposing the training activations: the step
+// fills act (batch × H·M) with the batch's forward pass against the
+// pre-update parameters. It returns true when no support noise was injected
+// — act then equals what Forward returned before the step, letting streaming
+// callers skip a second forward pass — and false otherwise.
 func (l *HiddenLayer) TrainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 	if act.Rows != len(idx) || act.Cols != l.Units() {
 		panic("core: TrainBatchInto activation shape mismatch")
@@ -377,31 +351,13 @@ func (l *HiddenLayer) TrainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 	return l.trainBatchInto(idx, act)
 }
 
+// trainBatchInto ships the whole batch update to the backend as one
+// LayerStep call. Support noise is pre-drawn row-major from the layer RNG,
+// so training stays deterministic and backend-independent. The step trains
+// at float64 on every precision; the float32 parameter images are only
+// marked stale, and sync32 rebuilds them before the next reduced-precision
+// forward.
 func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
-	if l.step != nil {
-		l.fusedLayerStep(idx, act)
-		return l.noiseStd == 0
-	}
-	l.forward(idx, act, true)
-	t := l.p.Taupdt
-	l.be.OneHotMeanLerp(l.Ci, idx, t)
-	tensor.ColMeans(l.meanAct, act)
-	l.be.Lerp(l.Cj, l.meanAct, t)
-	l.be.OneHotOuterLerp(l.Cij, idx, act, t, l.traceBlocks())
-	backend.Homeostasis(l.Kbi, l.Cj, l.M, l.p.Taubdt, l.p.PMinFraction, l.p.Eps)
-	l.refreshParameters()
-	return false
-}
-
-// fusedLayerStep ships the whole batch update to the backend as one
-// LayerStep call. Homeostasis and the parameter refresh happen in-pass, so
-// the composed sequence's trailing refreshParameters — and, for float32, the
-// eager recast it would schedule — collapse to marking the images stale;
-// sync32 still rebuilds them lazily before the next reduced-precision
-// forward. Support noise is pre-drawn row-major from the layer RNG, exactly
-// the order the composed noisy forward consumes it, so training stays
-// deterministic and backend-independent.
-func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 	var noise []float64
 	if l.noiseStd > 0 {
 		n := len(idx) * l.Units()
@@ -413,7 +369,7 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 			noise[i] = l.noiseStd * l.rng.NormFloat64()
 		}
 	}
-	l.step.LayerStep(idx, act, l.Ci, l.Cj, l.Cij, l.W, l.Bias,
+	l.be.LayerStep(idx, act, l.Ci, l.Cj, l.Cij, l.W, l.Bias,
 		backend.LayerHyper[float64]{
 			Taupdt:       l.p.Taupdt,
 			Taubdt:       l.p.Taubdt,
@@ -426,6 +382,7 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 			Trace:        l.traceBlocks(),
 		})
 	l.w32stale = true
+	return noise == nil
 }
 
 // ActiveFraction reports the fraction of hidden units whose activation trace

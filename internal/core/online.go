@@ -39,10 +39,10 @@ func (n *Network) PartialFit(idx [][]int32, labels []int) {
 	if n.partialAct == nil || n.partialAct.Rows != len(idx) {
 		n.partialAct = tensor.NewMatrix(len(idx), n.Hidden.Units())
 	}
-	// A fused backend (DESIGN.md §14) hands back the batch activations it
-	// already computed in-pass, so the streaming step runs one forward pass
-	// per micro-batch instead of two; composed backends (and noisy batches)
-	// keep the explicit post-update Forward.
+	// The step hands back the batch activations it computed against the
+	// pre-step parameters (DESIGN.md §14), so the readout trains on them
+	// and the streaming step runs one forward pass per micro-batch; only a
+	// noisy batch needs a separate, noise-free Forward.
 	if !n.Hidden.TrainBatchInto(idx, n.partialAct) {
 		n.Hidden.Forward(idx, n.partialAct)
 	}

@@ -59,11 +59,10 @@ func TestFloat32PrecisionTracksFloat64(t *testing.T) {
 }
 
 // TestFloat32OnLayerStepperTrainsAtFloat64 pins what Precision = Float32
-// means on a LayerStepper backend (DESIGN.md §9): TrainBatch dispatches the
-// float64 LayerStep, so the hidden layer's learning state is bit-identical
+// means for training (DESIGN.md §9): TrainBatch runs the float64 LayerStep
+// on every backend, so the hidden layer's learning state is bit-identical
 // to a Float64 run and only the forward passes outside that step (readout
-// inputs, prediction) run at float32. On a composed backend the float32
-// forward feeds the traces, so the state differs.
+// inputs, prediction) run at float32.
 func TestFloat32OnLayerStepperTrainsAtFloat64(t *testing.T) {
 	hidden := func(name string, prec Precision) *HiddenLayer {
 		train, _, p := precisionFixture()
@@ -72,17 +71,12 @@ func TestFloat32OnLayerStepperTrainsAtFloat64(t *testing.T) {
 		n.TrainUnsupervised(train, 2)
 		return n.Hidden
 	}
-	same := func(a, b *HiddenLayer) bool {
-		return a.W.MaxAbsDiff(b.W) == 0 && a.Cij.MaxAbsDiff(b.Cij) == 0 &&
-			slices.Equal(a.Kbi, b.Kbi) && slices.Equal(a.Bias, b.Bias)
-	}
-	for _, name := range []string{"fused", "gpusim"} {
-		if !same(hidden(name, Float32), hidden(name, Float64)) {
+	for _, name := range backend.Names32() {
+		a, b := hidden(name, Float32), hidden(name, Float64)
+		if a.W.MaxAbsDiff(b.W) != 0 || a.Cij.MaxAbsDiff(b.Cij) != 0 ||
+			!slices.Equal(a.Kbi, b.Kbi) || !slices.Equal(a.Bias, b.Bias) {
 			t.Errorf("%s: Float32 hidden state differs from Float64", name)
 		}
-	}
-	if same(hidden("parallel", Float32), hidden("parallel", Float64)) {
-		t.Error("parallel: Float32 hidden state equals Float64 — the composed float32 forward no longer feeds the traces")
 	}
 }
 

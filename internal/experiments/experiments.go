@@ -48,7 +48,7 @@ type Config struct {
 // repetitions; see DESIGN.md §1 for the scaling substitution).
 func DefaultConfig() Config {
 	return Config{
-		Backend:      "parallel",
+		Backend:      "fused",
 		Workers:      0,
 		Events:       30000,
 		TestFraction: 0.25,

@@ -16,23 +16,17 @@ import (
 // report essentially unchanged AUC. This harness reproduces the comparison
 // in CI-runnable form on the synthetic Higgs pipeline:
 //
-//   - float64:   the full-precision reference (parallel backend);
-//   - float32:   training and inference with the float32 compute path
-//     (Params.Precision = Float32 — forward passes and derived
-//     parameters at half width, traces float64);
+//   - float64:   the full-precision reference (the configured backend,
+//     fused by default);
+//   - float64/parallel: the same training through ComposedStep, the
+//     composed kernel sequence — the accuracy half of the fusion claim
+//     (DESIGN.md §14): its ΔAUC against the fused step must vanish;
+//   - float32:   Params.Precision = Float32. The hidden layer trains at
+//     float64 — every backend's LayerStep is float64 — so this row
+//     measures float32 inference (readout inputs and prediction) on a
+//     float64-trained layer, not float32 training (DESIGN.md §9);
 //   - posit16/8: the fpgasim backend, which quantizes derived-parameter
 //     storage through posit(16,1) / posit(8,0).
-//
-// The ablation is a precision×backend grid: each precision also runs on
-// every backend that defines it and changes the execution strategy — the
-// fused whole-layer backend (DESIGN.md §14) and the gpusim offload model at
-// float64, fused again at float32. The grid is the accuracy half of the
-// fusion claim: a fused row's ΔAUC against the composed reference must
-// vanish (float64, where LayerStep is bit-exact) or stay within the paper
-// tolerance (float32). The float32/fused row trains its hidden layer at
-// float64 — core dispatches the float64 LayerStep — so it measures float32
-// inference (readout inputs and prediction) on a float64-trained layer, not
-// float32 training (DESIGN.md §9).
 //
 // Reported per row: accuracy, AUC, train time, and the AUC delta against
 // the float64 reference — the number the paper's claim is about.
@@ -63,7 +57,7 @@ func (r *PrecisionResult) DeltaAUC(name string) float64 {
 }
 
 // precisionTrial trains one variant. The fpgasim rows swap the backend; the
-// float32 row sets Params.Precision on the parallel backend.
+// float32 row sets Params.Precision on the configured backend.
 func precisionTrial(cfg Config, splits *HiggsSplits, p core.Params,
 	backendName string, format *posit.Format) (acc, auc, secs metrics.Summary) {
 	variant := cfg
@@ -115,10 +109,8 @@ func RunPrecision(cfg Config, mcuCap int) *PrecisionResult {
 	p16, p8 := posit.Posit16, posit.Posit8
 	variants := []variant{
 		{name: "float64", backend: cfg.Backend, prec: core.Float64, mib: weightsMiB(8)},
-		{name: "float64/fused", backend: "fused", prec: core.Float64, mib: weightsMiB(8)},
-		{name: "float64/gpusim", backend: "gpusim", prec: core.Float64, mib: weightsMiB(8)},
+		{name: "float64/parallel", backend: "parallel", prec: core.Float64, mib: weightsMiB(8)},
 		{name: "float32", backend: cfg.Backend, prec: core.Float32, mib: weightsMiB(4)},
-		{name: "float32/fused", backend: "fused", prec: core.Float32, mib: weightsMiB(4)},
 		{name: "posit16", backend: "fpgasim", format: &p16, mib: weightsMiB(2)},
 		{name: "posit8", backend: "fpgasim", format: &p8, mib: weightsMiB(1)},
 	}

@@ -217,10 +217,10 @@ const (
 )
 
 // buildKernelOpAt builds the precision-parameterized kernel closures. The
-// "trainstep" op is the full unsupervised BCPNN batch sequence expressed
-// directly in backend kernels — forward pass, the three trace updates, and
-// the parameter refresh — identical work at either element width, which is
-// what makes the f32/f64 scenario pairs a controlled precision experiment.
+// "trainstep" op is one unsupervised BCPNN batch step as a backend LayerStep
+// on synthetic state — forward pass, the three trace updates, and the
+// parameter refresh — identical work at either element width, which is what
+// makes the f32/f64 scenario pairs a controlled precision experiment.
 func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func(), error) {
 	switch sc.Op {
 	case "gemm":
@@ -259,7 +259,6 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		cj := make([]T, units)
 		bias := make([]T, units)
 		kbi := make([]T, units)
-		meanAct := make([]T, units)
 		for i := range ci {
 			ci[i] = T(rng.Float64()*0.05 + 0.01)
 		}
@@ -281,46 +280,27 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		// Structural-sparsity fixture (DESIGN.md §15): a receptive-field index
 		// silencing Sparsity of the input hypercolumns, the state the
 		// prune/regrow schedule leaves behind. The sparse twin walks it in
-		// the gather, the trace update and the weight refresh. The composed
-		// dense twin computes every block — whole-row gather and trace
-		// update — and re-zeroes the silent weight panels after each refresh,
-		// so the pair's ratio measures everything the block index can skip.
-		// Without a fixture the refresh covers every block, keeping legacy
-		// baseline scenarios bit-identical.
+		// the gather, the trace update and the weight refresh. The dense twin
+		// steps every block and re-zeroes the silent weight panels after each
+		// step, so the pair's ratio measures everything the block index can
+		// skip. Without a fixture every block is active.
 		bi := trainstepBlocks(sc, rng, units)
-		gather, trace := bi, bi
+		blocks, trace := bi, bi
 		if !sc.Sparse {
-			gather, trace = nil, nil
+			blocks = tensor.NewBlockIndex(nil, trainstepFi, trainstepMi, 1, units)
+			trace = nil
 		}
-		if st, ok := be.(backend.LayerStepper[T]); ok {
-			// A whole-layer offload backend (DESIGN.md §14) runs the identical
-			// update as one fused LayerStep; the fused/parallel throughput
-			// ratio of a scenario pair is the measured fusion speedup
-			// benchgate floors.
-			blocks := bi
-			if blocks == nil {
-				blocks = tensor.NewBlockIndex(nil, trainstepFi, trainstepMi, 1, units)
-			}
-			hyper := backend.LayerHyper[T]{Taupdt: t, Temperature: 1, Eps: 1e-9, Kbi: kbi,
-				Blocks: blocks, Trace: trace}
-			return func() { st.LayerStep(idx, act, ci, cj, cij, w, bias, hyper) }, nil
-		}
+		// Every backend runs the update as its LayerStep (DESIGN.md §14):
+		// ComposedStep on naive and parallel, three passes on fused, so the
+		// fused/parallel throughput ratio of a scenario pair is the measured
+		// fusion speedup benchgate floors.
+		hyper := backend.LayerHyper[T]{Taupdt: t, Temperature: 1, Eps: 1e-9, Kbi: kbi,
+			Blocks: blocks, Trace: trace}
 		return func() {
-			// Forward: support, bias, per-HCU softmax (single hypercolumn).
-			be.OneHotMatMul(act, idx, w, gather)
-			be.AddBias(act, bias)
-			be.SoftmaxGroups(act, 1, units, 1)
-			// Trace updates.
-			be.OneHotMeanLerp(ci, idx, t)
-			tensor.ColMeans(meanAct, act)
-			be.Lerp(cj, meanAct, t)
-			be.OneHotOuterLerp(cij, idx, act, t, trace)
-			// Parameter refresh.
-			be.UpdateWeights(w, ci, cj, cij, bi, 1e-9)
-			if !sc.Sparse {
+			be.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
+			if !sc.Sparse && bi != nil {
 				tensor.ZeroSilent(w, bi)
 			}
-			be.UpdateBias(bias, kbi, cj, 1e-9)
 		}, nil
 	}
 	return nil, fmt.Errorf("perf: unknown kernel op %q", sc.Op)

@@ -17,7 +17,7 @@ import (
 // Config tunes the continual-learning pipeline. The zero value of every
 // field selects a sensible default, so Config{} is runnable.
 type Config struct {
-	// Backend names the compute backend ("" = "parallel"); Workers sets its
+	// Backend names the compute backend ("" = "fused"); Workers sets its
 	// worker-team size (0 = GOMAXPROCS).
 	Backend string
 	Workers int
@@ -71,7 +71,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Backend == "" {
-		c.Backend = "parallel"
+		c.Backend = "fused"
 	}
 	if c.Params == (core.Params{}) {
 		c.Params = core.DefaultParams()

@@ -37,7 +37,7 @@ func DefaultParams() Params { return core.DefaultParams() }
 // Config selects the execution backend and model variant.
 type Config struct {
 	// Backend names the compute backend: "naive", "parallel", "fused",
-	// "gpusim" or "fpgasim" (see Backends). Empty selects "parallel".
+	// "gpusim" or "fpgasim" (see Backends). Empty selects "fused".
 	Backend string
 	// Workers sets the backend worker-team size (0 = GOMAXPROCS).
 	Workers int
@@ -61,7 +61,7 @@ type Model struct {
 // (hypercolumns × units each) and class count.
 func NewModel(cfg Config, hypercolumns, unitsPerHC, classes int) (*Model, error) {
 	if cfg.Backend == "" {
-		cfg.Backend = "parallel"
+		cfg.Backend = "fused"
 	}
 	if cfg.Params == (Params{}) {
 		cfg.Params = DefaultParams()
@@ -193,7 +193,7 @@ func SaveModel(w io.Writer, m *Model, enc *data.Encoder) error {
 // bundle itself.
 func LoadModel(r io.Reader, cfg Config) (*Model, *data.Encoder, error) {
 	if cfg.Backend == "" {
-		cfg.Backend = "parallel"
+		cfg.Backend = "fused"
 	}
 	be, err := backend.New(cfg.Backend, cfg.Workers)
 	if err != nil {
