@@ -425,7 +425,7 @@ func TestParallelWorkersDefault(t *testing.T) {
 
 // TestParallelSerialKernelsAllocateNothing: at one worker the row-sharded
 // kernels run their range helper over [0, n) inline, so no worker closure
-// escapes to the heap.
+// escapes to the heap, and the composed LayerStep reuses its scratch.
 func TestParallelSerialKernelsAllocateNothing(t *testing.T) {
 	p := NewParallel(1)
 	for _, c := range simCases {
@@ -434,6 +434,7 @@ func TestParallelSerialKernelsAllocateNothing(t *testing.T) {
 			"AddBias":         func() { p.AddBias(s.act, s.bias) },
 			"OneHotOuterLerp": func() { p.OneHotOuterLerp(s.cij, s.idx, s.act, 0.01, s.hyp.Trace) },
 			"UpdateWeights":   func() { p.UpdateWeights(s.w, s.ci, s.cj, s.cij, s.hyp.Blocks, 1e-9) },
+			"LayerStep":       func() { s.step(p) },
 		}
 		for name, call := range calls {
 			if n := testing.AllocsPerRun(20, call); n != 0 {

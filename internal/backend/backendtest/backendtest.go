@@ -199,7 +199,7 @@ func (m *model[T]) hyper(blocks, trace *tensor.BlockIndex) backend.LayerHyper[T]
 
 // denseStep is the dense-masked composed step — the reference semantics.
 func (m *model[T]) denseStep(idx [][]int32) {
-	backend.ComposedStep(m.be, idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.full, nil))
+	backend.ComposedStep(m.be, idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.full, nil), make([]T, len(m.cj)))
 	tensor.ZeroSilent(m.w, m.bi)
 }
 
@@ -210,7 +210,7 @@ func (m *model[T]) sparseStep(idx [][]int32) {
 		m.be.LayerStep(idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.bi, m.bi))
 		return
 	}
-	backend.ComposedStep(m.be, idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.bi, m.bi))
+	backend.ComposedStep(m.be, idx, m.act, m.ci, m.cj, m.cij, m.w, m.bias, m.hyper(m.bi, m.bi), make([]T, len(m.cj)))
 }
 
 // applySwap mutates the mask per the scripted events, re-seeds each newly

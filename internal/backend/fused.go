@@ -28,8 +28,8 @@ func init() {
 // order per element, so at float64 LayerStep is bit-identical to
 // ComposedStep (the property tests assert it); fusion changes when memory is
 // touched, not what is computed. UpdateWeights, which re-derives W without a
-// trace update (construction, trace re-seeding and merges, mask changes),
-// runs pass 3's weight-row routine alone.
+// trace update (construction, trace re-seeding and merges, mask changes), is
+// Parallel's with pass 3's weight-row routine.
 type Fused[T tensor.Float] struct {
 	*Parallel[T]
 }
@@ -40,7 +40,9 @@ func NewFused(workers int) *Fused[float64] { return NewFusedOf[float64](workers)
 
 // NewFusedOf returns a fused backend of the given precision.
 func NewFusedOf[T tensor.Float](workers int) *Fused[T] {
-	return &Fused[T]{Parallel: NewParallelOf[T](workers)}
+	p := NewParallelOf[T](workers)
+	p.row = weightRowFromTrace[T]
+	return &Fused[T]{Parallel: p}
 }
 
 // Name implements Kernels.
@@ -96,17 +98,6 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 			f.traceWeightBand(cij, w, act, idx, ci, hyper, lo, hi)
 		})
 	}
-}
-
-// UpdateWeights implements Kernels with the fused step's weight pass alone:
-// the log(Cj) table through logMaxSlice, then weightRowFromTrace per row. It
-// is bit-identical to the composed kernel at both precisions; at float64 its
-// logs run four lanes at a time.
-func (f *Fused[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64) {
-	f.logcj = growScratch(f.logcj, len(cj))
-	logMaxSlice(f.logcj, cj, T(eps))
-	f.weightPass(w, ci, cij, bi, eps, true)
 }
 
 // forwardBand computes act rows [lo,hi): support gather over the active
@@ -173,7 +164,7 @@ func (f *Fused[T]) traceWeightBand(cij, w, act *tensor.Dense[T], idx [][]int32,
 	for b0 := lo; b0 < hi; b0 += block {
 		b1 := min(b0+block, hi)
 		oneHotOuterLerpRange(cij, idx, act, hyper.Taupdt, hyper.Trace, b0, b1)
-		updateWeightsRange(w, ci, f.logcj, cij, hyper.Blocks, hyper.Eps, true, b0, b1)
+		updateWeightsRange(w, ci, f.logcj, cij, hyper.Blocks, hyper.Eps, f.row, b0, b1)
 	}
 }
 

@@ -99,7 +99,7 @@ func (s *layerState[T]) step(k Kernels[T]) {
 
 // composed drives the same batch update through ComposedStep on k.
 func (s *layerState[T]) composed(k Kernels[T]) {
-	ComposedStep(k, s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.hyp)
+	ComposedStep(k, s.idx, s.act, s.ci, s.cj, s.cij, s.w, s.bias, s.hyp, make([]T, len(s.cj)))
 }
 
 // TestHomeostasisMatchesReference checks the one gain rule every step runs

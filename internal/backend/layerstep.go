@@ -53,9 +53,14 @@ type LayerHyper[T tensor.Float] struct {
 //	kbi  = homeostasis(kbi, cj)                             (gain update)
 //	w    = log-odds(ci, cj, cij) over active blocks         (refresh)
 //	bias = kbi · log(max(cj, eps))                          (refresh)
+//
+// mean is the caller's scratch for colmeans(act), one entry per hidden unit.
 func ComposedStep[T tensor.Float](k Kernels[T], idx [][]int32, act *tensor.Dense[T], ci, cj []T,
-	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
+	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T], mean []T) {
 	checkLayerStep(idx, act, ci, cj, cij, w, bias, hyper)
+	if len(mean) != len(cj) {
+		panic("backend: ComposedStep mean scratch length mismatch")
+	}
 	bi, t := hyper.Blocks, hyper.Taupdt
 	k.OneHotMatMul(act, idx, w, bi)
 	k.AddBias(act, bias)
@@ -64,7 +69,6 @@ func ComposedStep[T tensor.Float](k Kernels[T], idx [][]int32, act *tensor.Dense
 	}
 	k.SoftmaxGroups(act, bi.H, bi.M, hyper.Temperature)
 	k.OneHotMeanLerp(ci, idx, t)
-	mean := make([]T, len(cj))
 	tensor.ColMeans(mean, act)
 	k.Lerp(cj, mean, t)
 	k.OneHotOuterLerp(cij, idx, act, t, hyper.Trace)

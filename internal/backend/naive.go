@@ -173,7 +173,7 @@ func (*Naive[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense
 	bi *tensor.BlockIndex, eps float64) {
 	logcj := make([]T, len(cj))
 	logMaxCols(logcj, cj, eps)
-	updateWeightsRange(w, ci, logcj, cij, bi, eps, false, 0, w.Rows)
+	updateWeightsRange(w, ci, logcj, cij, bi, eps, logOdds[T], 0, w.Rows)
 }
 
 // logMaxCols fills logcj with log(max(cj,eps)), computed once per column
@@ -188,13 +188,13 @@ func logMaxCols[T tensor.Float](logcj, cj []T, eps float64) {
 // updateWeightsRange recomputes w rows [r0,r1) from the traces, given
 // logcj = log(max(cj,eps)): every element for nil bi, otherwise only the
 // active blocks (silent blocks are not written; the caller keeps them at
-// zero). Each row or block segment goes through logOdds, or through the
-// fused backend's bit-identical four-lane weightRowFromTrace when fast.
+// zero). Each row or block segment goes through row: logOdds on the
+// composed backends, the bit-identical four-lane weightRowFromTrace on fused.
 //
 // Row i of w corresponds to input unit i, living in input hypercolumn
 // i/Mi. Column j corresponds to hidden unit j in hypercolumn j/M.
 func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, logcj []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64, fast bool, r0, r1 int) {
+	bi *tensor.BlockIndex, eps float64, row weightRowFunc[T], r0, r1 int) {
 	if w.Rows != cij.Rows || w.Cols != cij.Cols {
 		panic("backend: UpdateWeights shape mismatch")
 	}
@@ -206,10 +206,6 @@ func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, logcj []T, cij *
 	}
 	epsT := T(eps)
 	eps2 := epsT * epsT
-	row := logOdds[T]
-	if fast {
-		row = weightRowFromTrace[T]
-	}
 	for i := r0; i < r1; i++ {
 		logci := logT(max(ci[i], epsT))
 		crow, wrow := cij.Row(i), w.Row(i)
@@ -223,6 +219,10 @@ func updateWeightsRange[T tensor.Float](w *tensor.Dense[T], ci, logcj []T, cij *
 		}
 	}
 }
+
+// weightRowFunc re-derives one weight row or block segment from its trace
+// row, given log ci and the matching slice of the log(Cj) table.
+type weightRowFunc[T tensor.Float] func(wrow, crow, logcj []T, logci, eps2 T)
 
 // logOdds writes w[j] = log(max(c[j],eps²)) − log ci − log cj[j] over one
 // weight row or block segment.
@@ -240,7 +240,7 @@ func (*Naive[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 // LayerStep implements Kernels as the composed kernel sequence.
 func (n *Naive[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
-	ComposedStep[T](n, idx, act, ci, cj, cij, w, bias, hyper)
+	ComposedStep[T](n, idx, act, ci, cj, cij, w, bias, hyper, make([]T, len(cj)))
 }
 
 func updateBias[T tensor.Float](bias, kbi, cj []T, eps float64) {

@@ -19,9 +19,13 @@ func init() {
 // instantiation processes twice the lanes per instruction.
 type Parallel[T tensor.Float] struct {
 	workers int
-	// logcj is UpdateWeights' scratch, grown on first use and shared with
-	// the embedding Fused (calls are never concurrent on one backend value).
+	// row is UpdateWeights' per-row routine: logOdds here, the bit-identical
+	// four-lane weightRowFromTrace on the embedding Fused.
+	row weightRowFunc[T]
+	// Scratch, grown on first use (calls are never concurrent on one
+	// backend value); the embedding Fused shares logcj.
 	logcj []T // log(max(cj,eps)) shared by every weight row (units)
+	mean  []T // LayerStep's batch-mean activation (units)
 }
 
 // NewParallel returns the float64 Parallel backend with the given team size.
@@ -33,7 +37,7 @@ func NewParallelOf[T tensor.Float](workers int) *Parallel[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Parallel[T]{workers: workers}
+	return &Parallel[T]{workers: workers, row: logOdds[T]}
 }
 
 // Name implements Kernels.
@@ -149,20 +153,13 @@ func (p *Parallel[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.
 	bi *tensor.BlockIndex, eps float64) {
 	p.logcj = growScratch(p.logcj, len(cj))
 	logMaxCols(p.logcj, cj, eps)
-	p.weightPass(w, ci, cij, bi, eps, false)
-}
-
-// weightPass re-derives W against the log(Cj) table in p.logcj, sharded by
-// row band; fast selects the fused row routine (see updateWeightsRange).
-func (p *Parallel[T]) weightPass(w *tensor.Dense[T], ci []T, cij *tensor.Dense[T],
-	bi *tensor.BlockIndex, eps float64, fast bool) {
-	logcj := p.logcj
+	logcj, row := p.logcj, p.row
 	if p.serial(w.Rows) {
-		updateWeightsRange(w, ci, logcj, cij, bi, eps, fast, 0, w.Rows)
+		updateWeightsRange(w, ci, logcj, cij, bi, eps, row, 0, w.Rows)
 		return
 	}
 	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsRange(w, ci, logcj, cij, bi, eps, fast, lo, hi)
+		updateWeightsRange(w, ci, logcj, cij, bi, eps, row, lo, hi)
 	})
 }
 
@@ -174,5 +171,6 @@ func (p *Parallel[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 // LayerStep implements Kernels as the composed kernel sequence.
 func (p *Parallel[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
-	ComposedStep[T](p, idx, act, ci, cj, cij, w, bias, hyper)
+	p.mean = growScratch(p.mean, len(cj))
+	ComposedStep[T](p, idx, act, ci, cj, cij, w, bias, hyper, p.mean)
 }

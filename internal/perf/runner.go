@@ -279,16 +279,19 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		const t = 0.012
 		// Structural-sparsity fixture (DESIGN.md §15): a receptive-field index
 		// silencing Sparsity of the input hypercolumns, the state the
-		// prune/regrow schedule leaves behind. The sparse twin walks it in
-		// the gather, the trace update and the weight refresh. The dense twin
-		// steps every block and re-zeroes the silent weight panels after each
-		// step, so the pair's ratio measures everything the block index can
-		// skip. Without a fixture every block is active.
-		bi := trainstepBlocks(sc, rng, units)
-		blocks, trace := bi, bi
-		if !sc.Sparse {
+		// prune/regrow schedule leaves behind. Both twins gather and refresh
+		// weights over its active blocks; the sparse twin also freezes the
+		// silent blocks of the joint trace, the dense twin decays every
+		// block — the two regimes HiddenLayer runs with SparseCompute on and
+		// off, so the pair's ratio measures what SparseCompute buys. Without
+		// a fixture every block is active.
+		blocks := trainstepBlocks(sc, rng, units)
+		if blocks == nil {
 			blocks = tensor.NewBlockIndex(nil, trainstepFi, trainstepMi, 1, units)
-			trace = nil
+		}
+		var trace *tensor.BlockIndex
+		if sc.Sparse {
+			trace = blocks
 		}
 		// Every backend runs the update as its LayerStep (DESIGN.md §14):
 		// ComposedStep on naive and parallel, three passes on fused, so the
@@ -296,12 +299,7 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		// fusion speedup benchgate floors.
 		hyper := backend.LayerHyper[T]{Taupdt: t, Temperature: 1, Eps: 1e-9, Kbi: kbi,
 			Blocks: blocks, Trace: trace}
-		return func() {
-			be.LayerStep(idx, act, ci, cj, cij, w, bias, hyper)
-			if !sc.Sparse && bi != nil {
-				tensor.ZeroSilent(w, bi)
-			}
-		}, nil
+		return func() { be.LayerStep(idx, act, ci, cj, cij, w, bias, hyper) }, nil
 	}
 	return nil, fmt.Errorf("perf: unknown kernel op %q", sc.Op)
 }

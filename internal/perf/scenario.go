@@ -74,9 +74,10 @@ type Scenario struct {
 	// this fraction of input hypercolumns per HCU (K = round((1−s)·Fi)
 	// active), the state the structural prune/regrow schedule (DESIGN.md
 	// §15) leaves behind. Sparse then selects the compute regime over that
-	// mask: false runs the dense-masked kernel sequence (every block still
-	// computed — the semantics twin), true the block-sparse one (silent
-	// blocks skipped via the compressed block index). A dense/sparse
+	// mask: false runs the dense-masked step (the joint trace decays every
+	// block — HiddenLayer with SparseCompute off), true the block-sparse one
+	// (silent trace blocks frozen too). Both gather and refresh weights over
+	// the active blocks only. A dense/sparse
 	// scenario pair shares one mask and model shape, so its within-run
 	// throughput ratio IS the measured structural-sparsity speedup, declared
 	// as a Ratio of the "sparse" suite.
@@ -374,11 +375,10 @@ var suites = map[string]suite{
 	}},
 	// "sparse" is the structural-sparsity sweep behind BENCH_sparse.json
 	// (DESIGN.md §15): trainstep twin pairs sharing one pruned receptive-
-	// field mask, run dense-masked (every block computed, silent W blocks
-	// re-zeroed — what the schedule costs without the sparse kernels) and
-	// block-sparse (silent blocks skipped via the compressed index). The
-	// sparse/dense throughput ratio of a pair is the measured prune/regrow
-	// speedup; the suite's ratios floor the f64 pair at 80% sparsity, the
+	// field mask, run dense-masked (the joint trace decays every block, as
+	// HiddenLayer does with SparseCompute off) and block-sparse (silent
+	// trace blocks skipped via the compressed index too). The sparse/dense
+	// throughput ratio of a pair is the measured SparseCompute speedup; the suite's ratios floor the f64 pair at 80% sparsity, the
 	// compute half of the E10 claim — the AUC
 	// half is the experiment's own ±0.01 twin bound. The s50 and f32 pairs
 	// are informational: at half sparsity the skipped fraction is too small
