@@ -16,7 +16,7 @@ func init() {
 // instead of ComposedStep's nine kernel dispatches:
 //
 //  1. one pass over the activation matrix per worker band: support gather,
-//     bias, optional noise, and the per-HCU softmax, row by row;
+//     bias, optional keyed noise, and the per-HCU softmax, row by row;
 //  2. a short serial section over the small per-unit vectors: Ci/Cj traces,
 //     homeostatic gain, bias refresh, and the shared log(Cj) table;
 //  3. one cache-blocked pass over Cij and W per worker band: each row block
@@ -66,7 +66,7 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	t := hyper.Taupdt
 
 	// Pass 1 — forward, sharded over the batch: support gather, bias,
-	// optional pre-drawn noise, per-HCU softmax, one visit per row.
+	// optional keyed noise, per-HCU softmax, one visit per row.
 	if f.serial(len(idx)) {
 		f.forwardBand(act, idx, w, bias, hyper, 0, len(idx))
 	} else {
@@ -101,9 +101,10 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 }
 
 // forwardBand computes act rows [lo,hi): support gather over the active
-// blocks, bias, optional pre-drawn noise, per-HCU softmax — one pass per row.
-// Rows are independent, so worker sharding cannot change the result, and
-// silent weight blocks are exact zeros, so skipping them cannot either.
+// blocks, bias, optional keyed noise, per-HCU softmax — one pass per row.
+// Rows are independent and row s's noise is drawn for (NoiseKey, s), so
+// worker sharding cannot change the result, and silent weight blocks are
+// exact zeros, so skipping them cannot either.
 func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
 	bias []T, hyper LayerHyper[T], lo, hi int) {
 	n, bi := w.Cols, hyper.Blocks
@@ -118,8 +119,8 @@ func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.De
 			}
 		}
 		tensor.Add(row, bias)
-		if hyper.Noise != nil {
-			tensor.Add(row, hyper.Noise[s*n:(s+1)*n])
+		if hyper.NoiseStd > 0 {
+			tensor.AddNormal(row, hyper.NoiseStd, hyper.NoiseKey, uint64(s))
 		}
 		for g := 0; g < bi.H; g++ {
 			tensor.SoftmaxRow(row[g*bi.M:(g+1)*bi.M], hyper.Temperature)

@@ -73,10 +73,7 @@ func newLayerState[T tensor.Float](rng *rand.Rand, batch int, masked, noisy bool
 	s.hyp.Blocks = tensor.NewBlockIndex(mask, fi, mi, h, m)
 	tensor.ZeroSilent(s.w, s.hyp.Blocks)
 	if noisy {
-		s.hyp.Noise = make([]T, batch*units)
-		for i := range s.hyp.Noise {
-			s.hyp.Noise[i] = T(rng.NormFloat64() * 0.05)
-		}
+		s.hyp.NoiseStd, s.hyp.NoiseKey = 0.05, rng.Uint64()
 	}
 	return s
 }

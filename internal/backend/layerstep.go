@@ -14,12 +14,13 @@ import "streambrain/internal/tensor"
 // floored-bias homeostasis rule in-pass — Kbi is read AND rewritten —
 // between the Cj update and the bias recompute.
 //
-// Noise, when non-nil, is the pre-drawn support noise of this batch
-// (row-major batch×H·M, added to the support after the bias and before the
-// softmax). A fused step cannot draw it inline, because worker sharding
-// would make draw order — and therefore training — nondeterministic; so
-// every caller draws in row-major order and every step adds. Nil means no
-// support noise (prediction-noise-free batches, the steady state).
+// NoiseStd > 0 adds Gaussian support noise after the bias and before the
+// softmax: row s of the batch gets NoiseStd times the keyed stream
+// tensor.AddNormal draws for (NoiseKey, s). The values depend on the key, the
+// row and the unit only, so every backend, worker band and build adds the
+// same noise, and no step holds a batch-sized noise buffer. The caller draws
+// a fresh key per noisy step. NoiseStd <= 0 means no support noise
+// (prediction-noise-free batches, the steady state).
 type LayerHyper[T tensor.Float] struct {
 	Taupdt       float64 // trace EMA rate
 	Taubdt       float64 // homeostatic gain relaxation rate
@@ -27,7 +28,8 @@ type LayerHyper[T tensor.Float] struct {
 	Temperature  float64 // softmax temperature
 	Eps          float64 // probability floor for the log-odds parameters
 	Kbi          []T     // homeostatic gain, updated in-pass
-	Noise        []T     // optional pre-drawn support noise, batch×(H·M) row-major
+	NoiseStd     float64 // support-noise standard deviation; <= 0 is none
+	NoiseKey     uint64  // key of this step's support-noise stream
 
 	// Blocks is the layer's receptive field and geometry (DESIGN.md §15):
 	// Fi input hypercolumns of Mi units feed H hidden HCUs of M MCUs. The
@@ -64,8 +66,10 @@ func ComposedStep[T tensor.Float](k Kernels[T], idx [][]int32, act *tensor.Dense
 	bi, t := hyper.Blocks, hyper.Taupdt
 	k.OneHotMatMul(act, idx, w, bi)
 	k.AddBias(act, bias)
-	if hyper.Noise != nil {
-		tensor.Add(act.Data, hyper.Noise)
+	if hyper.NoiseStd > 0 {
+		for s := range idx {
+			tensor.AddNormal(act.Row(s), hyper.NoiseStd, hyper.NoiseKey, uint64(s))
+		}
 	}
 	k.SoftmaxGroups(act, bi.H, bi.M, hyper.Temperature)
 	k.OneHotMeanLerp(ci, idx, t)
@@ -95,9 +99,6 @@ func checkLayerStep[T tensor.Float](idx [][]int32, act *tensor.Dense[T], ci, cj 
 	}
 	if len(ci) != in || len(cj) != units || len(bias) != units || len(hyper.Kbi) != units {
 		panic("backend: LayerStep vector length mismatch")
-	}
-	if hyper.Noise != nil && len(hyper.Noise) != len(idx)*units {
-		panic("backend: LayerStep noise length mismatch")
 	}
 	if tr := hyper.Trace; tr != nil &&
 		(tr.Fi != bi.Fi || tr.Mi != bi.Mi || tr.H != bi.H || tr.M != bi.M) {

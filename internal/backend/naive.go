@@ -139,19 +139,22 @@ func oneHotOuterLerpRange[T tensor.Float](cij *tensor.Dense[T], idx [][]int32,
 
 // OuterLerp implements Kernels.
 func (*Naive[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t float64) {
-	outerLerp(cij, a, b, t, func(dst, x, y *tensor.Dense[T]) { tensor.MatMulATB(dst, x, y) })
+	outerLerp(cij, a, b, t, nil, func(dst, x, y *tensor.Dense[T]) { tensor.MatMulATB(dst, x, y) })
 }
 
-// outerLerp implements cij = (1-t)cij + (t/rows)·aᵀb given an ATB kernel.
+// outerLerp implements cij = (1-t)cij + (t/rows)·aᵀb given an ATB kernel,
+// with aᵀb in tmp's storage (see tensor.Resize); it returns the scratch for
+// the caller to keep.
 func outerLerp[T tensor.Float](cij *tensor.Dense[T], a, b *tensor.Dense[T], t float64,
-	atb func(dst, x, y *tensor.Dense[T])) {
+	tmp *tensor.Dense[T], atb func(dst, x, y *tensor.Dense[T])) *tensor.Dense[T] {
 	if a.Rows == 0 {
-		return
+		return tmp
 	}
-	tmp := tensor.NewDense[T](a.Cols, b.Cols)
+	tmp = tensor.Resize(tmp, a.Cols, b.Cols)
 	atb(tmp, a, b)
 	tensor.Scale(1/T(a.Rows), tmp.Data)
 	tensor.Lerp(cij.Data, tmp.Data, T(t))
+	return tmp
 }
 
 // logT is the precision-matched natural log: float64 goes through math.Log,

@@ -24,8 +24,9 @@ type Parallel[T tensor.Float] struct {
 	row weightRowFunc[T]
 	// Scratch, grown on first use (calls are never concurrent on one
 	// backend value); the embedding Fused shares logcj.
-	logcj []T // log(max(cj,eps)) shared by every weight row (units)
-	mean  []T // LayerStep's batch-mean activation (units)
+	logcj []T              // log(max(cj,eps)) shared by every weight row (units)
+	mean  []T              // LayerStep's batch-mean activation (units)
+	outer *tensor.Dense[T] // OuterLerp's aᵀb
 }
 
 // NewParallel returns the float64 Parallel backend with the given team size.
@@ -143,7 +144,7 @@ func (p *Parallel[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *
 
 // OuterLerp implements Kernels.
 func (p *Parallel[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t float64) {
-	outerLerp(cij, a, b, t, func(dst, x, y *tensor.Dense[T]) {
+	p.outer = outerLerp(cij, a, b, t, p.outer, func(dst, x, y *tensor.Dense[T]) {
 		tensor.MatMulATBParallel(dst, x, y, p.workers)
 	})
 }

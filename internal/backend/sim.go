@@ -13,9 +13,10 @@ import (
 // operands of a launch (residency and transfer bytes), fpgasim reads its
 // per-stage operation counts (pipeline cycles).
 
-// maxOperands bounds the buffers one launch moves: the fused step's seven
-// (W, bias, Ci, Cj, Cij, Kbi and the support noise).
-const maxOperands = 7
+// maxOperands bounds the buffers one launch moves: the fused step's six
+// (W, bias, Ci, Cj, Cij and Kbi). The support noise is drawn on the device
+// from its key, so it is never an operand.
+const maxOperands = 6
 
 // Operand directions: the kernel reads the buffer (host → device unless
 // resident), writes it (device → host unless resident), or both.
@@ -170,19 +171,20 @@ func (s *sim[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 
 // LayerStep implements Kernels: the whole-layer offload as one launch.
 // The model state is read and written in place — W in the receptive
-// field's panels, Cij in the trace index's, the short vectors whole — and
-// the pre-drawn noise is read; the activations are device scratch, never
-// moved. The four dataflow stages stream concurrently over the same panels.
+// field's panels, Cij in the trace index's, the short vectors whole; the
+// support noise is generated on the device from its key and the activations
+// are device scratch, so neither is moved. The four dataflow stages stream
+// concurrently over the same panels.
 func (s *sim[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	cij, w *tensor.Dense[T], bias []T, hyper LayerHyper[T]) {
 	const rw = opRead | opWrite
 	batch, units := int64(len(idx)), int64(len(bias))
 	l := launch[T]{idx: idx, fused: true, operands: [maxOperands]operand[T]{
 		panel(w, hyper.Blocks, rw), buf(bias, rw), buf(ci, rw), buf(cj, rw),
-		panel(cij, hyper.Trace, rw), buf(hyper.Kbi, rw), buf(hyper.Noise, opRead)}}
+		panel(cij, hyper.Trace, rw), buf(hyper.Kbi, rw)}}
 	// Gathers and bias add (plus the noise add), then the softmax.
 	l.ops[StageSupport] = gatherOps(idx, hyper.Blocks, w.Cols) + batch*units
-	if hyper.Noise != nil {
+	if hyper.NoiseStd > 0 {
 		l.ops[StageSupport] += batch * units
 	}
 	l.ops[StageSoftmax] = batch * units

@@ -43,6 +43,7 @@ type Classifier struct {
 
 	meanAct []float64
 	meanLab []float64
+	teacher *tensor.Matrix // TrainBatch's one-hot labels, reused across steps
 }
 
 var _ Readout = (*Classifier)(nil)
@@ -97,7 +98,8 @@ func (c *Classifier) TrainBatch(act *tensor.Matrix, labels []int) {
 	if act.Rows != len(labels) || act.Cols != c.in {
 		panic("core: Classifier.TrainBatch shape mismatch")
 	}
-	teacher := tensor.NewMatrix(len(labels), c.classes)
+	c.teacher = tensor.Resize(c.teacher, len(labels), c.classes)
+	teacher := c.teacher
 	for s, y := range labels {
 		teacher.Set(s, y, 1)
 	}

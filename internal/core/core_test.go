@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -530,5 +533,59 @@ func TestTrainBatchIntoReturnsPreStepForward(t *testing.T) {
 		if l.TrainBatchInto(idx, got) {
 			t.Errorf("%s: noisy TrainBatchInto returned true", name)
 		}
+	}
+}
+
+// TestNoisyTrainingIsWorkerInvariant: the support noise is keyed by (step
+// key, batch row), so noisy training gives the same W and Cij bits on the
+// fused step at 1, 2 and 4 workers and on the composed step, in both
+// compute regimes.
+func TestNoisyTrainingIsWorkerInvariant(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		p := smallParams()
+		p.SparseCompute = sparse
+		var ref string
+		for _, be := range []backend.Backend{backend.NewFused(1), backend.NewFused(2),
+			backend.NewFused(4), backend.MustNew("parallel", 2), backend.MustNew("naive", 1)} {
+			rng := rand.New(rand.NewSource(8))
+			train := synthEncoded(rng, 96, 10, 4, []int{1, 4}, 0.15)
+			l := NewHiddenLayer(be, 10, 4, p, rng)
+			l.InitTracesFromData(train.Idx)
+			l.SetNoise(0.4)
+			for lo := 0; lo < len(train.Idx); lo += 32 {
+				l.TrainBatch(train.Idx[lo : lo+32])
+			}
+			h := fnv.New64a()
+			for _, v := range append(append([]float64(nil), l.W.Data...), l.Cij.Data...) {
+				binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+			}
+			got := fmt.Sprintf("%x", h.Sum64())
+			if ref == "" {
+				ref = got
+			} else if got != ref {
+				t.Errorf("sparse %v: %s at %d workers hashes W+Cij to %s, fused at 1 worker to %s",
+					sparse, be.Name(), be.Workers(), got, ref)
+			}
+		}
+	}
+}
+
+// TestClassifierTrainBatchAllocatesNothing: at one worker the BCPNN readout
+// keeps its teacher matrix and the outer product in scratch, so a step
+// allocates nothing.
+func TestClassifierTrainBatchAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	act := tensor.NewMatrix(64, 40)
+	labels := make([]int, act.Rows)
+	for i := range act.Data {
+		act.Data[i] = rng.Float64()
+	}
+	for i := range labels {
+		labels[i] = rng.Intn(2)
+	}
+	c := NewClassifier(backend.NewFused(1), act.Cols, 2, smallParams(), rng)
+	c.TrainBatch(act, labels)
+	if a := testing.AllocsPerRun(20, func() { c.TrainBatch(act, labels) }); a != 0 {
+		t.Fatalf("Classifier.TrainBatch allocates %v times per step", a)
 	}
 }

@@ -75,9 +75,8 @@ type HiddenLayer struct {
 	noiseStd float64
 
 	// scratch reused across batches to keep the hot loop allocation-free.
-	pool     *tensor.Pool
-	pool32   *tensor.PoolOf[float32]
-	noiseBuf []float64 // pre-drawn support noise of the training step
+	pool   *tensor.Pool
+	pool32 *tensor.PoolOf[float32]
 }
 
 // NewHiddenLayer builds a hidden layer for inputs of fi hypercolumns × mi
@@ -352,22 +351,15 @@ func (l *HiddenLayer) TrainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 }
 
 // trainBatchInto ships the whole batch update to the backend as one
-// LayerStep call. Support noise is pre-drawn row-major from the layer RNG,
-// so training stays deterministic and backend-independent. The step trains
-// at float64 on every precision; the float32 parameter images are only
-// marked stale, and sync32 rebuilds them before the next reduced-precision
-// forward.
+// LayerStep call. A noisy step draws one key from the layer RNG; the step
+// adds the keyed Gaussian stream for (key, row) to each support row, so
+// training stays deterministic and backend-independent. The step trains at
+// float64 on every precision; the float32 parameter images are only marked
+// stale, and sync32 rebuilds them before the next reduced-precision forward.
 func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
-	var noise []float64
+	var key uint64
 	if l.noiseStd > 0 {
-		n := len(idx) * l.Units()
-		if cap(l.noiseBuf) < n {
-			l.noiseBuf = make([]float64, n)
-		}
-		noise = l.noiseBuf[:n]
-		for i := range noise {
-			noise[i] = l.noiseStd * l.rng.NormFloat64()
-		}
+		key = l.rng.Uint64()
 	}
 	l.be.LayerStep(idx, act, l.Ci, l.Cj, l.Cij, l.W, l.Bias,
 		backend.LayerHyper[float64]{
@@ -377,12 +369,13 @@ func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
 			Temperature:  l.p.Temperature,
 			Eps:          l.p.Eps,
 			Kbi:          l.Kbi,
-			Noise:        noise,
+			NoiseStd:     l.noiseStd,
+			NoiseKey:     key,
 			Blocks:       l.blocks,
 			Trace:        l.traceBlocks(),
 		})
 	l.w32stale = true
-	return noise == nil
+	return l.noiseStd <= 0
 }
 
 // ActiveFraction reports the fraction of hidden units whose activation trace

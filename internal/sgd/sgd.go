@@ -41,6 +41,10 @@ type Softmax struct {
 	B  []float64
 	vw *tensor.Matrix // momentum buffers
 	vb []float64
+
+	// TrainBatch scratch, kept across steps so a step allocates nothing.
+	probs, gradW *tensor.Matrix
+	gradB        []float64
 }
 
 // NewSoftmax builds a classifier from `in` features to `classes` classes.
@@ -88,7 +92,8 @@ func (s *Softmax) TrainBatch(x *tensor.Matrix, labels []int) {
 		panic("sgd: TrainBatch batch mismatch")
 	}
 	b := x.Rows
-	probs := tensor.NewMatrix(b, s.classes)
+	s.probs = tensor.Resize(s.probs, b, s.classes)
+	probs := s.probs
 	s.Scores(x, probs)
 	// grad_logits = (p − y)/B
 	for r := 0; r < b; r++ {
@@ -97,12 +102,17 @@ func (s *Softmax) TrainBatch(x *tensor.Matrix, labels []int) {
 		tensor.Scale(1/float64(b), row)
 	}
 	// gradW = xᵀ·grad + λW; gradB = column sums of grad.
-	gradW := tensor.NewMatrix(s.in, s.classes)
+	s.gradW = tensor.Resize(s.gradW, s.in, s.classes)
+	gradW := s.gradW
 	tensor.MatMulATB(gradW, x, probs)
 	if s.cfg.L2 > 0 {
 		tensor.Axpy(s.cfg.L2, s.W.Data, gradW.Data)
 	}
-	gradB := make([]float64, s.classes)
+	if s.gradB == nil {
+		s.gradB = make([]float64, s.classes)
+	}
+	gradB := s.gradB
+	clear(gradB)
 	for r := 0; r < b; r++ {
 		row := probs.Row(r)
 		for c, v := range row {

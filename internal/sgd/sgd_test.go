@@ -147,3 +147,30 @@ func TestMulticlass(t *testing.T) {
 		t.Fatalf("3-class accuracy %.3f", acc)
 	}
 }
+
+// TestTrainBatchAllocatesNothing: the step's probabilities and gradients
+// live in scratch kept across steps, and a smaller batch reuses it; reusing
+// it leaves the trajectory of a readout that starts from fresh scratch.
+func TestTrainBatchAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x, y := blobs(rng, 128, 1)
+	s := NewSoftmax(2, 2, DefaultConfig(), rand.New(rand.NewSource(6)))
+	fresh := NewSoftmax(2, 2, DefaultConfig(), rand.New(rand.NewSource(6)))
+	small := tensor.FromSlice(40, 2, x.Data[:80])
+	for step := range 4 {
+		s.TrainBatch(x, y)
+		s.TrainBatch(small, y[:40])
+		fresh.probs, fresh.gradW, fresh.gradB = nil, nil, nil
+		fresh.TrainBatch(x, y)
+		fresh.probs, fresh.gradW, fresh.gradB = nil, nil, nil
+		fresh.TrainBatch(small, y[:40])
+		for i, w := range s.W.Data {
+			if math.Float64bits(w) != math.Float64bits(fresh.W.Data[i]) {
+				t.Fatalf("step %d: W[%d] %v with reused scratch, %v with fresh", step, i, w, fresh.W.Data[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { s.TrainBatch(x, y) }); a != 0 {
+		t.Fatalf("TrainBatch allocates %v times per step", a)
+	}
+}

@@ -61,8 +61,12 @@ func MatMulBlocked[T Float](dst, a, b *Dense[T], block int) {
 // the fused two-row axpy2 microkernel, which dispatches to AVX2+FMA when
 // available — there float32 processes twice the lanes per instruction,
 // which is the entire hardware case for the reduced-precision path.
+// Products narrower than simdMinLen (the readouts' two classes) run the
+// microkernels' scalar loops inline: there the call costs more than the
+// sweep, and the per-element expressions, hence the bits, are the same.
 func matMulBlockedRange[T Float](dst, a, b *Dense[T], block, r0, r1 int) {
 	k, n := a.Cols, b.Cols
+	narrow := n < simdMinLen
 	for ii := r0; ii < r1; ii += block {
 		iMax := min(ii+block, r1)
 		for kk := 0; kk < k; kk += block {
@@ -83,7 +87,13 @@ func matMulBlockedRange[T Float](dst, a, b *Dense[T], block, r0, r1 int) {
 						}
 						b0 := b.Data[kkk*n+jj : kkk*n+jMax]
 						b1 := b.Data[(kkk+1)*n+jj : (kkk+1)*n+jMax]
-						axpy2(av0, av1, b0, b1, drow)
+						if !narrow {
+							axpy2(av0, av1, b0, b1, drow)
+							continue
+						}
+						for j := range drow {
+							drow[j] += av0*b0[j] + av1*b1[j]
+						}
 					}
 					for ; kkk < kMax; kkk++ {
 						av := arow[kkk]
@@ -91,7 +101,13 @@ func matMulBlockedRange[T Float](dst, a, b *Dense[T], block, r0, r1 int) {
 							continue
 						}
 						brow := b.Data[kkk*n+jj : kkk*n+jMax]
-						axpyDispatch(av, brow, drow)
+						if !narrow {
+							axpyDispatch(av, brow, drow)
+							continue
+						}
+						for j, bv := range brow {
+							drow[j] += av * bv
+						}
 					}
 				}
 			}
@@ -145,8 +161,11 @@ func MatMulATB[T Float](dst, a, b *Dense[T]) {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch dst %dx%d = aT %dx%d * b %dx%d",
 			dst.Rows, dst.Cols, a.Cols, a.Rows, b.Rows, b.Cols))
 	}
+	// Narrow rows run axpyDispatch's scalar loop inline, as in
+	// matMulBlockedRange.
 	dst.Zero()
 	n := b.Cols
+	narrow := n < simdMinLen
 	for s := 0; s < a.Rows; s++ {
 		arow := a.Row(s)
 		brow := b.Row(s)
@@ -154,7 +173,14 @@ func MatMulATB[T Float](dst, a, b *Dense[T]) {
 			if av == 0 {
 				continue
 			}
-			axpyDispatch(av, brow, dst.Data[i*n:i*n+n])
+			drow := dst.Data[i*n : i*n+n]
+			if !narrow {
+				axpyDispatch(av, brow, drow)
+				continue
+			}
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
 		}
 	}
 }
@@ -172,6 +198,7 @@ func MatMulATBParallel[T Float](dst, a, b *Dense[T], workers int) {
 	}
 	dst.Zero()
 	n := b.Cols
+	narrow := n < simdMinLen
 	cols := a.Cols
 	chunk := (cols + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -192,7 +219,14 @@ func MatMulATBParallel[T Float](dst, a, b *Dense[T], workers int) {
 					if av == 0 {
 						continue
 					}
-					axpyDispatch(av, brow, dst.Data[i*n:i*n+n])
+					drow := dst.Data[i*n : i*n+n]
+					if !narrow {
+						axpyDispatch(av, brow, drow)
+						continue
+					}
+					for j, bv := range brow {
+						drow[j] += av * bv
+					}
 				}
 			}
 		}(c0, c1)

@@ -190,3 +190,111 @@ func TestMatMulParallelSmallFallback(t *testing.T) {
 		t.Fatalf("small fallback mismatch: %g", d)
 	}
 }
+
+// matMulCallsOracle is the blocked kernel as it was before narrow products
+// ran inline: one axpy2/axpyDispatch call per reduction pair and element,
+// whatever the width. The narrow path must reproduce it bit for bit.
+func matMulCallsOracle[T Float](dst, a, b *Dense[T], block int) {
+	dst.Zero()
+	k, n := a.Cols, b.Cols
+	for ii := 0; ii < a.Rows; ii += block {
+		iMax := min(ii+block, a.Rows)
+		for kk := 0; kk < k; kk += block {
+			kMax := min(kk+block, k)
+			for jj := 0; jj < n; jj += block {
+				jMax := min(jj+block, n)
+				for i := ii; i < iMax; i++ {
+					arow := a.Data[i*k : i*k+k]
+					drow := dst.Data[i*n+jj : i*n+jMax]
+					kkk := kk
+					for ; kkk+1 < kMax; kkk += 2 {
+						av0, av1 := arow[kkk], arow[kkk+1]
+						if av0 == 0 && av1 == 0 {
+							continue
+						}
+						axpy2(av0, av1, b.Data[kkk*n+jj:kkk*n+jMax],
+							b.Data[(kkk+1)*n+jj:(kkk+1)*n+jMax], drow)
+					}
+					for ; kkk < kMax; kkk++ {
+						if av := arow[kkk]; av != 0 {
+							axpyDispatch(av, b.Data[kkk*n+jj:kkk*n+jMax], drow)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// atbCallsOracle is MatMulATB with one axpyDispatch call per element.
+func atbCallsOracle[T Float](dst, a, b *Dense[T]) {
+	dst.Zero()
+	n := b.Cols
+	for s := 0; s < a.Rows; s++ {
+		for i, av := range a.Row(s) {
+			if av != 0 {
+				axpyDispatch(av, b.Row(s), dst.Data[i*n:i*n+n])
+			}
+		}
+	}
+}
+
+func sameBitsDense[T Float](a, b *Dense[T]) bool {
+	for i := range a.Data {
+		if !sameBits64(float64(a.Data[i]), float64(b.Data[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNarrowProductsMatchCalls: readout-width products (n < simdMinLen) run
+// inline and must equal the per-call kernel bit for bit, over odd reduction
+// lengths, odd block edges and zeros in a (the skip paths).
+func TestNarrowProductsMatchCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, n := range []int{1, 2, 3, 15} {
+		for _, k := range []int{1, 7, 131} {
+			for _, block := range []int{3, 5, 64} {
+				m := 70
+				a, b := randMatrix(rng, m, k), randMatrix(rng, k, n)
+				for i := range a.Data {
+					if rng.Intn(3) == 0 {
+						a.Data[i] = 0
+					}
+				}
+				want, got := NewMatrix(m, n), NewMatrix(m, n)
+				matMulCallsOracle(want, a, b, block)
+				MatMulBlocked(got, a, b, block)
+				if !sameBitsDense(got, want) {
+					t.Fatalf("MatMulBlocked n %d k %d block %d differs from the per-call kernel", n, k, block)
+				}
+				MatMulParallel(got, a, b, block, 3)
+				if !sameBitsDense(got, want) {
+					t.Fatalf("MatMulParallel n %d k %d block %d differs from the per-call kernel", n, k, block)
+				}
+				a32, b32 := Cast[float32](a), Cast[float32](b)
+				want32, got32 := NewMatrix32(m, n), NewMatrix32(m, n)
+				matMulCallsOracle(want32, a32, b32, block)
+				MatMulBlocked(got32, a32, b32, block)
+				if !sameBitsDense(got32, want32) {
+					t.Fatalf("float32 MatMulBlocked n %d k %d block %d differs from the per-call kernel", n, k, block)
+				}
+			}
+			// aᵀ·c with a m×k and c m×n: k rows of n, more than the 64 rows
+			// MatMulATBParallel needs to shard at k = 131.
+			a, c := randMatrix(rng, 9, k), randMatrix(rng, 9, n)
+			a.Data[0], a.Data[len(a.Data)-1] = 0, 0
+			want, got := NewMatrix(k, n), NewMatrix(k, n)
+			atbCallsOracle(want, a, c)
+			MatMulATB(got, a, c)
+			if !sameBitsDense(got, want) {
+				t.Fatalf("MatMulATB n %d k %d differs from the per-call kernel", n, k)
+			}
+			MatMulATBParallel(got, a, c, 3)
+			if !sameBitsDense(got, want) {
+				t.Fatalf("MatMulATBParallel n %d k %d differs from the per-call kernel", n, k)
+			}
+		}
+	}
+}

@@ -53,6 +53,19 @@ func NewDense[T Float](rows, cols int) *Dense[T] {
 	return &Dense[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
 
+// Resize returns a zeroed rows×cols matrix, reusing m's storage when it holds
+// enough elements (nil m allocates). Training steps keep their scratch
+// matrices through it, so a step allocates only when its batch outgrows
+// every earlier one.
+func Resize[T Float](m *Dense[T], rows, cols int) *Dense[T] {
+	if m == nil || cap(m.Data) < rows*cols {
+		return NewDense[T](rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	clear(m.Data)
+	return m
+}
+
 // NewMatrix allocates a zeroed rows×cols float64 matrix.
 func NewMatrix(rows, cols int) *Matrix { return NewDense[float64](rows, cols) }
 

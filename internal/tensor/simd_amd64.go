@@ -76,5 +76,11 @@ func expSumF32AVX(x []float32, maxv, invT, s float32) (n int, sum float32)
 func maxF64AVX(x []float64) (m float64, nan bool)
 func maxF32AVX(x []float32) (m float32, nan bool)
 
+// addNormalF64AVX is AddNormal's fast path; see addNormal in normal.go.
+//
+//go:noescape
+func addNormalF64AVX(x []float64, std float64, lanes *noiseLanes, tab *zigTables,
+	fails []noiseGroup) (n, nf int)
+
 func cpuidLow(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

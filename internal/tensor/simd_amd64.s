@@ -518,6 +518,109 @@ m32done:
 	VZEROUPPER
 	RET
 
+// func addNormalF64AVX(x []float64, std float64, lanes *noiseLanes, tab *zigTables, fails []noiseGroup) (n, nf int)
+// The fast path of AddNormal over x[:len(x)&^3], one group of four elements
+// per xoshiro256+ step of the four lanes (Y0-Y3 hold words s0-s3). Each lane
+// whose candidate passes the fast test gets x += std*z, with z = mag*w[i]
+// and the sign applied after, unfused, as zigFast computes it. A group with
+// a failing lane stores the passing lanes only and is appended to fails
+// (element offset, then the four candidates); the kernel stops after
+// len(fails) >= 1 such groups. n is the elements consumed, nf the groups
+// recorded, and the lanes are written back advanced n/4 steps.
+TEXT ·addNormalF64AVX(SB), NOSPLIT, $0-88
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	ANDQ         $-4, CX
+	VBROADCASTSD std+24(FP), Y7
+	MOVQ         lanes+32(FP), R8
+	MOVQ         tab+40(FP), R9
+	MOVQ         fails_base+48(FP), R10
+	MOVQ         fails_len+56(FP), R11
+	VMOVDQU      0(R8), Y0
+	VMOVDQU      32(R8), Y1
+	VMOVDQU      64(R8), Y2
+	VMOVDQU      96(R8), Y3
+	MOVQ         $0x000FFFFFFFFFFFFF, BX // magnitude mask
+	MOVQ         BX, X4
+	VPBROADCASTQ X4, Y4
+	MOVQ         $0x4330000000000000, BX // 2^52
+	MOVQ         BX, X5
+	VPBROADCASTQ X5, Y5
+	VPCMPEQQ     Y15, Y15, Y15 // all ones: the gathers' lane mask
+	VPSLLQ       $63, Y15, Y6  // sign bit
+	XORQ         AX, AX
+	XORQ         R12, R12
+	CMPQ         AX, CX
+	JGE          ndone
+
+nloop:
+	// u = s0 + s3, then the xoshiro256 state transition.
+	VPADDQ Y0, Y3, Y8
+	VPSLLQ $17, Y1, Y9
+	VPXOR  Y0, Y2, Y2
+	VPXOR  Y1, Y3, Y3
+	VPXOR  Y2, Y1, Y1
+	VPXOR  Y3, Y0, Y0
+	VPXOR  Y9, Y2, Y2
+	VPSLLQ $45, Y3, Y9
+	VPSRLQ $19, Y3, Y3
+	VPOR   Y9, Y3, Y3
+
+	// Layer i = u>>56, magnitude = u>>3 & mask; pass = k[i] > magnitude.
+	VPSRLQ     $56, Y8, Y10
+	VPSRLQ     $3, Y8, Y11
+	VPAND      Y4, Y11, Y11
+	VMOVDQU    Y15, Y12
+	VPGATHERQQ Y12, (R9)(Y10*8), Y13
+	VMOVDQU    Y15, Y12
+	VGATHERQPD Y12, 2048(R9)(Y10*8), Y14
+	VPCMPGTQ   Y11, Y13, Y13
+
+	// z = float64(magnitude) * w[i] (exact int->float through 2^52), sign
+	// bit 55 moved to 63; x + std*z.
+	VPOR    Y5, Y11, Y11
+	VSUBPD  Y5, Y11, Y11
+	VMULPD  Y14, Y11, Y11
+	VPSLLQ  $8, Y8, Y9
+	VPAND   Y6, Y9, Y9
+	VXORPD  Y9, Y11, Y11
+	VMULPD  Y7, Y11, Y11
+	VMOVUPD (DI)(AX*8), Y9
+	VADDPD  Y11, Y9, Y11
+
+	VMOVMSKPD Y13, BX
+	CMPL      BX, $0xf
+	JNE       nfail
+	VMOVUPD   Y11, (DI)(AX*8)
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLT       nloop
+	JMP       ndone
+
+nfail:
+	VBLENDVPD Y13, Y11, Y9, Y9
+	VMOVUPD   Y9, (DI)(AX*8)
+	MOVQ      R12, BX
+	IMULQ     $40, BX
+	MOVQ      AX, (R10)(BX*1)
+	VMOVDQU   Y8, 8(R10)(BX*1)
+	INCQ      R12
+	ADDQ      $4, AX
+	CMPQ      R12, R11
+	JGE       ndone
+	CMPQ      AX, CX
+	JLT       nloop
+
+ndone:
+	VMOVDQU Y0, 0(R8)
+	VMOVDQU Y1, 32(R8)
+	VMOVDQU Y2, 64(R8)
+	VMOVDQU Y3, 96(R8)
+	MOVQ    AX, n+72(FP)
+	MOVQ    R12, nf+80(FP)
+	VZEROUPPER
+	RET
+
 // func cpuidLow(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidLow(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

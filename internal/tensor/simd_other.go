@@ -25,3 +25,7 @@ func expSumF64AVX(x []float64, maxv, t, s float64) (int, float64)    { panic("te
 func expSumF32AVX(x []float32, maxv, invT, s float32) (int, float32) { panic("tensor: no SIMD") }
 func maxF64AVX(x []float64) (float64, bool)                          { panic("tensor: no SIMD") }
 func maxF32AVX(x []float32) (float32, bool)                          { panic("tensor: no SIMD") }
+
+func addNormalF64AVX(x []float64, std float64, lanes *noiseLanes, tab *zigTables, fails []noiseGroup) (int, int) {
+	panic("tensor: no SIMD")
+}

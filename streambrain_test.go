@@ -89,17 +89,23 @@ func TestEndToEndFacade(t *testing.T) {
 	}
 }
 
+// TestHybridFacade trains the BCPNN+SGD hybrid at the scale of
+// TestFacadeFitEvaluate and holds it to the same accuracy bar. At 8000
+// events and 1×100 MCUs the hybrid scores near chance (test accuracy 0.47–0.65
+// over seeds 1–24), so an "above 0.5" check there passes or fails by seed.
 func TestHybridFacade(t *testing.T) {
 	train, test, _, err := streambrain.LoadHiggs(streambrain.HiggsOptions{
-		Events: 8000, Seed: 3,
+		Events: 16000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := streambrain.DefaultParams()
-	params.MCUs = 100
-	params.UnsupervisedEpochs = 2
-	params.SupervisedEpochs = 3
+	params.HCUs = 1
+	params.MCUs = 300
+	params.ReceptiveField = 0.4
+	params.UnsupervisedEpochs = 6
+	params.SupervisedEpochs = 6
 	params.Seed = 3
 	model, err := streambrain.NewModel(streambrain.Config{
 		Backend: "parallel", Workers: 4, Params: params, HybridSGD: true,
@@ -109,8 +115,8 @@ func TestHybridFacade(t *testing.T) {
 	}
 	model.Fit(train)
 	acc, _ := model.Evaluate(test)
-	if acc < 0.5 {
-		t.Fatalf("hybrid collapsed: %.3f", acc)
+	if acc < 0.54 {
+		t.Fatalf("hybrid failed to learn: accuracy %.3f", acc)
 	}
 }
 
